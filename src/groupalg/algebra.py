@@ -87,9 +87,9 @@ class AlgebraElem:
         if not isinstance(other, AlgebraElem):
             return NotImplemented
         _check_context(self, other)
-        return AlgebraElem(self.field, self.group,
-                           _convolve(self.field, self.group, self.coeffs, other.coeffs),
-                           validate=False)
+        # a*b = a . rho(b): the coefficient of g_k sums a_i b_j over g_i g_j = g_k
+        prod = self.field.dot(self.coeffs, other.coeffs[self.group.modified_cayley()])
+        return AlgebraElem(self.field, self.group, prod, validate=False)
 
     def scale(self, c) -> "AlgebraElem":
         self.field.check_range(int(c))
@@ -121,21 +121,6 @@ class AlgebraElem:
             else:
                 terms.append(f"{c}*{label}")
         return " + ".join(terms) if terms else "0"
-
-
-def _convolve(field: Field, group: Group, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # coefficient of g_k is the sum of a_i b_j over pairs with g_i g_j = g_k
-    outer = np.atleast_2d(field.mul(a[:, None], b[None, :]))
-    tbl = group.mul
-    if field.m == 1:
-        acc = np.zeros(group.n, dtype=np.int64)
-        np.add.at(acc, tbl, outer)
-        return acc % field.p
-    digits = field._digits(outer)
-    acc = np.zeros((group.n, field.m), dtype=np.int64)
-    for d in range(field.m):
-        np.add.at(acc[:, d], tbl, digits[..., d])
-    return (acc % field.p) @ field._pow_vec
 
 
 def random_element(field: Field, group: Group, rng) -> AlgebraElem:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
-from .field import embedding, make_field
-from .linalg import FMatrix, FPoly, XCharPoly, charpoly, charpoly_xm, kernel_basis, rank, solve
+from .linalg import FMatrix, FPoly, XCharPoly, charpoly, charpoly_xm, kernel_basis, rank, solve, \
+    xm_charpoly_values
 from .representation import check_side, lambda_matrix, rho_matrix, stack
 
 DEFAULT_SEED = 0
@@ -190,9 +190,13 @@ def dim_mulmuley_exact(f: AlgebraElem, side: str = "left",
         raise DomainError("commutative shortcut on a non-commutative group")
     direct = shortcut == "commutative"
     xc = mulmuley_charpoly(f, side, symmetrize=not direct)
-    d = xc.size - xc.k
-    if direct:
-        return d
+    return xc.size - xc.k if direct else symmetrized_dim(xc.size, xc.k)
+
+
+def symmetrized_dim(size: int, k: int) -> int:
+    """rank(F) read off the doubled matrix [[0, F], [F^T, 0]] of the given size
+    whose X-scaled charpoly has z-adic valuation k: (size - k) / 2."""
+    d = size - k
     if d % 2:
         raise AssertionError("symmetrized valuation has wrong parity")
     return d // 2
@@ -215,23 +219,9 @@ def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
     mat = _mulmuley_matrix(f, side, symmetrize=True)
-    base = f.field
     s = mat.rows
     D = s * (s - 1) // 2
-    t = 1
-    while base.q ** t <= 2 * D:
-        t += 1
-    ext = base if t == 1 else make_field(base.p, base.m * t)
-    md = embedding(base, ext)(mat.data)
-    best = 0
-    for trial in range(trials):
-        rng = random.Random(f"{seed}:{trial}")
-        x0 = rng.randrange(ext.q)
-        dpow = np.empty(s, dtype=np.int64)
-        dpow[0] = 1
-        if s > 1:
-            dpow[1:] = ext.cummul(np.full(s - 1, x0, dtype=np.int64))
-        xm = FMatrix(ext, ext.mul(md, dpow[:, None]), validate=False)
-        k = charpoly(xm).valuation()
-        best = max(best, (s - k) // 2)
-    return best
+    _, vals = xm_charpoly_values(
+        mat, 2 * D + 1,
+        lambda ext: [random.Random(f"{seed}:{trial}").randrange(ext.q) for trial in range(trials)])
+    return max(symmetrized_dim(s, int(np.flatnonzero(v)[0])) for v in vals)

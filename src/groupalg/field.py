@@ -28,6 +28,7 @@ _DIGIT_TABLE_LIMIT = 1 << 16  # precompute digit decompositions up to this order
 _PRIME_TABLE_LIMIT = 1 << 16  # inverse tables for prime fields
 _PRIME_LOG_LIMIT = 1 << 12    # log tables for prime fields (cumulative products)
 _MAX_PRIME = (1 << 31) - 1    # keeps a*b exact in int64
+_DOT_BLOCK = 1 << 22          # cap on temporary elements in a blocked dot
 
 
 def _ret(x):
@@ -399,7 +400,38 @@ class Field:
             s = d.reshape(-1, self.m).sum(axis=0) % self.p
         else:
             s = d.sum(axis=axis % a.ndim) % self.p
-        return _ret(s @ self._pow_vec)
+        return _ret(np.asarray(s @ self._pow_vec))
+
+    def dot(self, a, b):
+        """Exact product a @ b of 1-d or 2-d operands, with numpy's `@` shapes.
+
+        This is the one place that forms sums of products over the field.
+        Prime fields use one int64 matmul while inner * (p-1)^2 < 2^63;
+        otherwise reduced products are summed a block of rows at a time,
+        each block holding at most _DOT_BLOCK products (or one row's worth).
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        inner = a.shape[-1]
+        if b.shape[0] != inner:
+            raise ValueError(f"dot shape mismatch: {a.shape} @ {b.shape}")
+        if self.m == 1 and inner * (self.p - 1) ** 2 < 1 << 63:
+            # inner products of residues < p sum to less than 2^63: exact in int64
+            return _ret(np.asarray((a @ b) % self.p))
+        # otherwise sum reduced products, at most _DOT_BLOCK of them at a time
+        if a.ndim == 1:
+            if b.ndim == 1 or b.size <= _DOT_BLOCK:
+                return self.sum(self.mul(a[:, None] if b.ndim == 2 else a, b), axis=0)
+            a, b = b.T, a  # v @ M == M.T @ v, blocked below
+        if b.ndim == 2:
+            a = a[:, :, None]  # row i of the product sums a[i, :, None] * b over axis 1
+        if a.shape[0] * b.size <= _DOT_BLOCK:  # each row of a makes b.size products
+            return self.sum(self.mul(a, b), axis=1)
+        step = max(1, _DOT_BLOCK // b.size)
+        out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.int64)
+        for i in range(0, a.shape[0], step):
+            out[i:i + step] = self.sum(self.mul(a[i:i + step], b), axis=1)
+        return out
 
     def cummul(self, v):
         """Cumulative products of a 1-d vector (used by charpoly)."""

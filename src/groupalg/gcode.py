@@ -16,7 +16,7 @@ import numpy as np
 from .dimension import IdealSpec
 from .errors import BudgetExceededError, DomainError, SpecError
 from .field import Field
-from .linalg import FMatrix, kernel_basis, mat_vec, rref, vec_mat
+from .linalg import FMatrix, kernel_basis, rref
 from .representation import stack
 
 DEFAULT_BUDGET = 1 << 20
@@ -55,7 +55,7 @@ def encode(code: GroupCode, message) -> np.ndarray:
     if message.shape != (code.k,):
         raise SpecError(f"message length {message.size} does not match k = {code.k}")
     code.field.check_range(message)
-    return vec_mat(message, code.genmat)
+    return code.field.dot(message, code.genmat.data)
 
 
 def is_codeword(code: GroupCode, word) -> bool:
@@ -64,7 +64,7 @@ def is_codeword(code: GroupCode, word) -> bool:
     if word.shape != (code.n,):
         raise SpecError(f"word length {word.size} does not match n = {code.n}")
     code.field.check_range(word)
-    return not mat_vec(code.paritymat, word).any()
+    return not code.field.dot(code.paritymat.data, word).any()
 
 
 def min_distance(code: GroupCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -85,8 +85,7 @@ def min_distance(code: GroupCode, budget: int = DEFAULT_BUDGET) -> int:
     for start in range(1, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
         msgs = (idx[:, None] // powers[None, :]) % f.q
-        words = f.sum(f.mul(msgs[:, :, None], code.genmat.data[None, :, :]), axis=1)
-        weights = np.count_nonzero(np.atleast_2d(words), axis=1)
+        weights = np.count_nonzero(f.dot(msgs, code.genmat.data), axis=1)
         best = min(best, int(weights.min()))
     return best
 

@@ -169,14 +169,10 @@ def _dihedral(n: int) -> Group:
 
 
 def _symmetric(k: int) -> Group:
-    if not 2 <= k <= 8:
-        raise SpecError(f"symmetric group parameter must be in 2..8, got {k}")
-    n = 1
-    for d in range(2, k + 1):
-        n *= d
-    if n > ORDER_CAP:
-        raise SpecError(f"group order {n} exceeds the cap {ORDER_CAP}")
+    if not 2 <= k <= 7:  # 8! = 40320 is beyond ORDER_CAP
+        raise SpecError(f"symmetric group parameter must be in 2..7, got {k}")
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    n = len(perms)
     radix = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
     codes = perms @ radix  # ascending, since rows are in lex order
     mul = np.empty((n, n), dtype=np.int64)

@@ -22,9 +22,6 @@ import numpy as np
 from .errors import DomainError, SpecError
 from .field import Field, embedding, make_field
 
-_MATMUL_BLOCK = 1 << 22  # cap on temporary elements in extension matmul
-
-
 class FMatrix:
     """A rows x cols matrix over a finite field."""
 
@@ -77,20 +74,7 @@ class FMatrix:
         if self.cols != other.rows:
             raise SpecError(
                 f"matrix product shape mismatch: {self.data.shape} @ {other.data.shape}")
-        f = self.field
-        a, b = self.data, other.data
-        if f.m == 1:
-            if self.cols * (f.p - 1) ** 2 < (1 << 62):
-                return FMatrix(f, (a @ b) % f.p, validate=False)
-            prod = (a.astype(object) @ b.astype(object)) % f.p  # exact fallback
-            return FMatrix(f, prod.astype(np.int64), validate=False)
-        out = np.empty((self.rows, other.cols), dtype=np.int64)
-        step = max(1, _MATMUL_BLOCK // max(1, self.cols * other.cols))
-        for i0 in range(0, self.rows, step):
-            i1 = min(self.rows, i0 + step)
-            prod = f.mul(a[i0:i1, :, None], b[None, :, :])
-            out[i0:i1] = f.sum(prod, axis=1)
-        return FMatrix(f, out, validate=False)
+        return FMatrix(self.field, self.field.dot(self.data, other.data), validate=False)
 
     def __repr__(self):
         return f"FMatrix({self.field!r}, {self.rows}x{self.cols})"
@@ -137,24 +121,6 @@ def stack_matrices(mats) -> FMatrix:
     if any(m.cols != mats[0].cols for m in mats):
         raise SpecError("stacking matrices with different column counts")
     return FMatrix(f, np.vstack([m.data for m in mats]), validate=False)
-
-
-def mat_vec(mat: FMatrix, v) -> np.ndarray:
-    """Matrix times column vector, as a length-rows array."""
-    v = np.asarray(v, dtype=np.int64)
-    if v.shape != (mat.cols,):
-        raise SpecError(f"vector length {v.shape} does not match {mat.cols} columns")
-    f = mat.field
-    return np.atleast_1d(f.sum(f.mul(mat.data, v[None, :]), axis=1))
-
-
-def vec_mat(v, mat: FMatrix) -> np.ndarray:
-    """Row vector times matrix, as a length-cols array."""
-    v = np.asarray(v, dtype=np.int64)
-    if v.shape != (mat.rows,):
-        raise SpecError(f"vector length {v.shape} does not match {mat.rows} rows")
-    f = mat.field
-    return np.atleast_1d(f.sum(f.mul(mat.data, v[:, None]), axis=0))
 
 
 # -- elimination --
@@ -213,21 +179,20 @@ def rank(mat: FMatrix) -> int:
     return r
 
 
+def _kernel_vectors(res: RrefResult, cols: int) -> list:
+    """Kernel basis read off an RREF: one vector per free column among the first cols."""
+    pivots = list(res.pivots)
+    free = np.setdiff1d(np.arange(cols), pivots)
+    out = np.zeros((free.size, cols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    if pivots:
+        out[:, pivots] = res.matrix.field.neg(res.matrix.data[:len(pivots)][:, free]).T
+    return list(out)
+
+
 def kernel_basis(mat: FMatrix) -> list:
     """Basis of the right null space {v : mat . v = 0}, one vector per free column."""
-    res = rref(mat)
-    f = mat.field
-    pivset = set(res.pivots)
-    out = []
-    for free in range(mat.cols):
-        if free in pivset:
-            continue
-        v = np.zeros(mat.cols, dtype=np.int64)
-        v[free] = 1
-        for i, pc in enumerate(res.pivots):
-            v[pc] = f.neg(res.matrix.data[i, free])
-        out.append(v)
-    return out
+    return _kernel_vectors(rref(mat), mat.cols)
 
 
 def solve(a: FMatrix, b) -> SolveResult | None:
@@ -249,17 +214,7 @@ def solve(a: FMatrix, b) -> SolveResult | None:
     for i, pc in enumerate(res.pivots):
         x[pc] = res.matrix.data[i, a.cols]
     # the first cols columns of the augmented RREF are exactly rref(a)
-    pivset = set(res.pivots)
-    kern = []
-    for free in range(a.cols):
-        if free in pivset:
-            continue
-        v = np.zeros(a.cols, dtype=np.int64)
-        v[free] = 1
-        for i, pc in enumerate(res.pivots):
-            v[pc] = f.neg(res.matrix.data[i, free])
-        kern.append(v)
-    return SolveResult(x, kern)
+    return SolveResult(x, _kernel_vectors(res, a.cols))
 
 
 # -- polynomials --
@@ -327,13 +282,11 @@ class FPoly:
         f = self._same_field(other)
         if self.is_zero or other.is_zero:
             return FPoly.zero(f)
-        out = np.zeros(len(self.coeffs) + len(other.coeffs) - 1, dtype=np.int64)
-        b = np.asarray(other.coeffs, dtype=np.int64)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                seg = f.add(out[i:i + len(b)], f.mul(c, b))
-                out[i:i + len(b)] = seg
-        return FPoly(f, out)
+        na, nb = len(self.coeffs), len(other.coeffs)
+        shifts = np.zeros((na, na + nb - 1), dtype=np.int64)  # row i: x^i * other
+        rows = np.arange(na)[:, None]
+        shifts[rows, rows + np.arange(nb)] = other.coeffs
+        return FPoly(f, f.dot(self.coeffs, shifts))
 
     def scale(self, c) -> "FPoly":
         f = self.field
@@ -398,8 +351,7 @@ def _charpoly_data(field: Field, a: np.ndarray) -> np.ndarray:
             t = np.atleast_1d(field.mul(h[lower, j], pivinv))
             h[lower] = field.sub(h[lower], field.mul(t[:, None], h[j + 1][None, :]))
             # inverse similarity: column j+1 absorbs the same combination
-            contrib = field.sum(field.mul(h[:, lower], t[None, :]), axis=1)
-            h[:, j + 1] = field.add(h[:, j + 1], contrib)
+            h[:, j + 1] = field.add(h[:, j + 1], field.dot(h[:, lower], t))
     # leading principal minors D_k of (zI - h), by the Hessenberg recurrence
     P = np.zeros((s + 1, s + 1), dtype=np.int64)
     P[0, 0] = 1
@@ -418,9 +370,7 @@ def _charpoly_data(field: Field, a: np.ndarray) -> np.ndarray:
             w = np.atleast_1d(field.mul(hcol, cum))
             nzw = np.nonzero(w)[0]
             if nzw.size:
-                rows_idx = (k - 2) - nzw
-                terms = field.mul(w[nzw][:, None], P[rows_idx, :k])
-                pk[:k] = field.sub(pk[:k], field.sum(terms, axis=0))
+                pk[:k] = field.sub(pk[:k], field.dot(w[nzw], P[(k - 2) - nzw, :k]))
         P[k] = pk
     return P[s]
 
@@ -506,6 +456,33 @@ class XCharPoly:
         return "\n".join(lines) + "\n"
 
 
+def xm_charpoly_values(mat: FMatrix, min_order: int, nodes):
+    """Charpoly coefficients of diag(1, x, ..., x^{s-1}) . mat at nodes x.
+
+    The nodes lie in the smallest extension F_{q^t} of the matrix field with
+    at least min_order elements; nodes(ext) lists them.
+
+    Returns:
+        (ext, vals): the extension and vals[i], the low-to-high coefficients
+        (length s+1) at the i-th node.
+    """
+    f = mat.field
+    s = mat.rows
+    t = 1
+    while f.q ** t < min_order:
+        t += 1
+    ext = f if t == 1 else make_field(f.p, f.m * t)
+    md = embedding(f, ext)(mat.data)
+    xs = [int(x) for x in nodes(ext)]
+    vals = np.empty((len(xs), s + 1), dtype=np.int64)
+    dpow = np.ones(s, dtype=np.int64)
+    for idx, xi in enumerate(xs):
+        if s > 1:
+            dpow[1:] = ext.cummul(np.full(s - 1, xi, dtype=np.int64))
+        vals[idx] = _charpoly_data(ext, ext.mul(md, dpow[:, None]))
+    return ext, vals
+
+
 def charpoly_xm(mat: FMatrix) -> XCharPoly:
     """Symbolic-x characteristic polynomial of X . mat, X = diag(1, x, ..., x^{s-1}).
 
@@ -516,27 +493,13 @@ def charpoly_xm(mat: FMatrix) -> XCharPoly:
     """
     if mat.rows != mat.cols:
         raise SpecError(f"charpoly_xm needs a square matrix, got {mat.data.shape}")
-    f = mat.field
     s = mat.rows
     D = s * (s - 1) // 2
-    t = 1
-    while f.q ** t < D + 2:
-        t += 1
-    ext = f if t == 1 else make_field(f.p, f.m * t)
-    md = embedding(f, ext)(mat.data)
     xs = np.arange(D + 1, dtype=np.int64)
-    vals = np.empty((D + 1, s + 1), dtype=np.int64)
-    dpow = np.empty(s, dtype=np.int64)
-    for idx in range(D + 1):
-        xi = int(xs[idx])
-        dpow[0] = 1
-        if s > 1:
-            dpow[1:] = ext.cummul(np.full(s - 1, xi, dtype=np.int64))
-        xm = ext.mul(md, dpow[:, None])
-        vals[idx] = _charpoly_data(ext, xm)
+    ext, vals = xm_charpoly_values(mat, D + 2, lambda ext: xs)
     coeff_rows = _interp_many(ext, xs, vals.T.copy())
     zc = tuple(FPoly(ext, row) for row in coeff_rows)
     if zc[-1].coeffs != (1,):
         raise AssertionError("charpoly_xm lost monicity; interpolation is broken")
     k = next(j for j, zp in enumerate(zc) if not zp.is_zero)
-    return XCharPoly(size=s, k=k, zcoeffs=zc, field=ext, base=f)
+    return XCharPoly(size=s, k=k, zcoeffs=zc, field=ext, base=mat.field)

@@ -12,7 +12,8 @@ from groupalg.groups import make_group
 import oracles
 
 CONTEXTS = (("gf:5", "symmetric:3"), ("gf:2^2", "cyclic:6"),
-            ("gf:2", "dihedral:4"), ("gf:3", "product:cyclic:2,cyclic:2"))
+            ("gf:2", "dihedral:4"), ("gf:3", "product:cyclic:2,cyclic:2"),
+            ("gf:3^2", "symmetric:3"))
 
 
 def _ctx(fspec, gspec):

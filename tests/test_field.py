@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
+from groupalg import field as field_module
 from groupalg.errors import SpecError
 from groupalg.field import Field, embedding, format_field_spec, make_field, \
     parse_field_spec
 
+import oracles
 from oracles import OracleField
 
 
@@ -125,6 +127,79 @@ def test_sum_and_cummul():
         rows = f.sum(m, axis=1)
         for i in range(3):
             assert rows[i] == f.sum(m[i])
+
+
+def _as_rows(x):
+    return [x] if x.ndim == 1 else x.tolist()
+
+
+def test_dot_matches_oracle_on_every_shape_pair():
+    rng = random.Random(11)
+    for spec in ("gf:2", "gf:5", "gf:2^2", "gf:3^2"):
+        f = parse_field_spec(spec)
+        for _ in range(6):
+            mat_a = np.array([[rng.randrange(f.q) for _ in range(4)] for _ in range(3)])
+            mat_b = np.array([[rng.randrange(f.q) for _ in range(5)] for _ in range(4)])
+            vec_a = np.array([rng.randrange(f.q) for _ in range(4)])
+            vec_b = np.array([rng.randrange(f.q) for _ in range(4)])
+            for a, b in ((vec_a, mat_b), (mat_a, vec_b), (vec_a, vec_b), (mat_a, mat_b)):
+                rows_b = [[int(v)] for v in b] if b.ndim == 1 else b.tolist()
+                want = oracles.matrix_mul(f.q, _as_rows(a), rows_b)
+                got = f.dot(a, b)
+                if a.ndim == 1 and b.ndim == 1:
+                    assert got == want[0][0], spec
+                elif a.ndim == 1:
+                    assert got.tolist() == want[0], spec
+                elif b.ndim == 1:
+                    assert got.tolist() == [row[0] for row in want], spec
+                else:
+                    assert got.tolist() == want, spec
+
+
+def test_dot_empty_dimensions():
+    for spec in ("gf:5", "gf:2^2", "gf:3^2"):
+        f = parse_field_spec(spec)
+        for sa, sb, shape in (((3, 0), (0, 2), (3, 2)), ((0, 4), (4, 2), (0, 2)),
+                              ((2, 3), (3, 0), (2, 0)), ((0,), (0, 2), (2,)),
+                              ((3, 0), (0,), (3,)), ((0, 4), (4,), (0,))):
+            got = f.dot(np.zeros(sa, dtype=np.int64), np.ones(sb, dtype=np.int64))
+            assert got.shape == shape and not got.any(), (spec, sa, sb)
+        assert f.dot(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)) == 0
+
+
+def test_dot_at_the_int64_edge_of_the_largest_prime():
+    p = (1 << 31) - 1
+    f = make_field(p)
+    for inner in (2, 7):  # 2 * (p-1)^2 < 2^63 still fits int64; 7 does not
+        a = np.full((3, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, 2), p - 1, dtype=np.int64)
+        want = inner * (p - 1) ** 2 % p
+        assert f.dot(a, b).tolist() == [[want] * 2] * 3
+        assert f.dot(a[0], b).tolist() == [want] * 2
+        assert f.dot(a, b[:, 0]).tolist() == [want] * 3
+        assert f.dot(a[0], b[:, 0]) == want
+
+
+def test_dot_blocks_large_products(monkeypatch):
+    rng = random.Random(12)
+    for spec in ("gf:2^2", "gf:3^2"):
+        f = parse_field_spec(spec)
+        a = np.array([[rng.randrange(f.q) for _ in range(6)] for _ in range(9)])
+        b = np.array([[rng.randrange(f.q) for _ in range(5)] for _ in range(6)])
+        whole = (f.dot(a, b), f.dot(a, b[:, 0]), f.dot(a[0], b))
+        monkeypatch.setattr(field_module, "_DOT_BLOCK", 7)
+        blocked = (f.dot(a, b), f.dot(a, b[:, 0]), f.dot(a[0], b))
+        monkeypatch.undo()
+        for w, g in zip(whole, blocked):
+            assert np.array_equal(w, g), spec
+        assert whole[0].tolist() == oracles.matrix_mul(f.q, a.tolist(), b.tolist())
+
+
+def test_dot_shape_mismatch():
+    for spec in ("gf:5", "gf:2^2"):
+        f = parse_field_spec(spec)
+        with pytest.raises(ValueError):
+            f.dot(np.zeros((2, 3), dtype=np.int64), np.zeros(1, dtype=np.int64))
 
 
 def test_pow():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,22 @@ def test_min_distance_matches_oracle():
             code = build_code(IdealSpec("left", (a,)))
             want = oracles.min_weight(f.q, code.genmat.data.tolist())
             assert min_distance(code) == want, (fspec, gspec)
+
+
+def test_min_distance_holds_one_block_of_codewords():
+    # (1+y)^1012 in F_2[C_1024] spans a [1024, 12] code with d = 128; enumerating
+    # its 4096 codewords must not build a messages x k x n product
+    coeffs = [1 if i & 1012 == i else 0 for i in range(1024)]  # Lucas: C(1012, i) mod 2
+    code = _code("gf:2", "cyclic:1024", coeffs)
+    assert code.k == 12
+    tracemalloc.start()
+    try:
+        d = min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 128
+    assert peak < 128 << 20
 
 
 def test_min_distance_budget():
