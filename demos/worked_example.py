@@ -9,7 +9,7 @@ from groupalg import (AlgebraElem, IdealSpec, charpoly, dim_bound_charpoly,
                       parse_field_spec, rho_matrix)
 
 # the shipped Cayley file fixes the element order 1, (12), (13), (23), (123), (132)
-group = load_cayley_file("fixtures/s3_paper.cayley")
+group = load_cayley_file("src/groupalg/data/s3_paper.cayley")
 field = parse_field_spec("gf:5")
 print("group:", group.name, "order", group.n)
 print("labels:", " ".join(group.labels))

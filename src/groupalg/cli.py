@@ -20,7 +20,7 @@ from . import __version__
 from .algebra import AlgebraElem, parse_element_inline, read_element_file
 from .dimension import DEFAULT_SEED, DEFAULT_TRIALS, IdealSpec, annihilator_basis, \
     dim_bound_charpoly, dim_ideal, dim_mulmuley_exact, dim_mulmuley_random, \
-    idempotent_generator, mulmuley_charpoly, symmetrized_dim
+    idempotent_generator
 from .errors import DomainError, SpecError
 from .field import format_field_spec, parse_field_spec
 from .gcode import DEFAULT_BUDGET, build_code, code_to_text, min_distance
@@ -234,9 +234,10 @@ def cmd_dim(args) -> int:
         lines.append(f"k = {b.k}")
         lines.append(f"bounds = [{b.lower}, {b.upper}] (exact: {b.exact})")
     elif args.method == "mulmuley-exact":
-        xc = mulmuley_charpoly(gens[0], side=args.side)
-        record.update({"k": xc.k, "dim": symmetrized_dim(xc.size, xc.k)})
-        lines.append(f"k = {xc.k} (matrix size {xc.size})")
+        # the doubled matrix has size s = 2n and valuation k = s - 2*dim
+        record["dim"] = dim_mulmuley_exact(gens[0], side=args.side)
+        record["k"] = 2 * group.n - 2 * record["dim"]
+        lines.append(f"k = {record['k']} (matrix size {2 * group.n})")
     else:
         record["dim"] = dim_mulmuley_random(gens[0], side=args.side,
                                             trials=args.trials, seed=args.seed)

@@ -7,14 +7,16 @@ characteristic polynomial z^k * g(z), g(0) != 0, the dimension lies in
 [n - k, n - 1] when k >= 1 and equals n when k = 0; the lower bound is
 attained whenever f is idempotent.
 
-Two further routes avoid computing the rank directly: an exact one that
-recovers rank(F) from the characteristic polynomial of X*M with
-X = diag(1, x, ..., x^{s-1}) symbolic and M the symmetrized block matrix
-[[0, F], [F^T, 0]] (the z-adic valuation of the result is s - 2*rank(F)),
-and a randomized one that specializes x to random field values, where any
-specialization can only raise the valuation, so the best of several trials
-is a high-confidence lower bound that is exact with probability at least
-1 - (D / q_ext)^trials.
+Two further routes avoid computing the rank directly.  Both follow Mulmuley:
+with X = diag(1, x, ..., x^{s-1}) and M the symmetrized block matrix
+[[0, F], [F^T, 0]] of size s = 2n, the z-adic valuation of det(zI - X*M)
+with x symbolic is s - 2*rank(F), and specializing x to a field value can
+only raise it.  Every z-coefficient has x-degree at most D = s(s-1)/2, so
+the exact route evaluates at D+1 distinct nodes and takes the least
+valuation, which is the symbolic one.  The randomized route takes a few
+random nodes from a larger extension instead: a lower bound on the
+dimension that is exact with probability at least 1 - (D / q_ext)^trials.
+Only mulmuley_charpoly interpolates the symbolic polynomial itself.
 """
 
 from __future__ import annotations
@@ -174,9 +176,37 @@ def mulmuley_charpoly(f: AlgebraElem, side: str = "left",
     return charpoly_xm(_mulmuley_matrix(f, side, symmetrize))
 
 
+def _mulmuley_dim(f: AlgebraElem, side: str, symmetrize: bool, min_order, nodes) -> int:
+    """rank(F) from the least z-valuation k of charpoly(X(x0) * M) over nodes x0.
+
+    With s the size of M and D = s(s-1)/2 the x-degree bound of every
+    z-coefficient, the nodes lie in the smallest extension with at least
+    min_order(D) elements and nodes(ext, D) lists them.  Specializing x can
+    only raise the valuation, so the least one over the nodes is the best
+    available.  rank(F) is s - k for M = F and (s - k) / 2 for the doubled
+    M = [[0, F], [F^T, 0]].
+    """
+    check_side(side)
+    mat = _mulmuley_matrix(f, side, symmetrize)
+    s = mat.rows
+    D = s * (s - 1) // 2
+    _, vals = xm_charpoly_values(mat, min_order(D), lambda ext: nodes(ext, D))
+    d = s - min(int(np.flatnonzero(v)[0]) for v in vals)
+    if not symmetrize:
+        return d
+    if d % 2:
+        raise AssertionError("symmetrized valuation has wrong parity")
+    return d // 2
+
+
 def dim_mulmuley_exact(f: AlgebraElem, side: str = "left",
                        shortcut: str = "auto") -> int:
-    """Dimension of the one-sided ideal of f via the symbolic-x charpoly.
+    """Dimension of the one-sided ideal of f via Mulmuley's z-adic valuation.
+
+    The nodes are the first D+1 elements of the smallest extension with at
+    least D+2 elements.  Each z-coefficient of det(zI - X*M) has x-degree at
+    most D, and a nonzero one cannot vanish at all D+1 nodes, so the least
+    valuation over the nodes is the symbolic one; no interpolation is needed.
 
     shortcut='commutative' skips the symmetric doubling and reads the rank
     off the representation matrix itself (dim = s - k); it requires a
@@ -188,18 +218,8 @@ def dim_mulmuley_exact(f: AlgebraElem, side: str = "left",
         raise SpecError(f"shortcut must be auto, symmetrize, or commutative, got {shortcut!r}")
     if shortcut == "commutative" and not f.group.is_commutative:
         raise DomainError("commutative shortcut on a non-commutative group")
-    direct = shortcut == "commutative"
-    xc = mulmuley_charpoly(f, side, symmetrize=not direct)
-    return xc.size - xc.k if direct else symmetrized_dim(xc.size, xc.k)
-
-
-def symmetrized_dim(size: int, k: int) -> int:
-    """rank(F) read off the doubled matrix [[0, F], [F^T, 0]] of the given size
-    whose X-scaled charpoly has z-adic valuation k: (size - k) / 2."""
-    d = size - k
-    if d % 2:
-        raise AssertionError("symmetrized valuation has wrong parity")
-    return d // 2
+    return _mulmuley_dim(f, side, shortcut != "commutative", lambda D: D + 2,
+                         lambda ext, D: ext.elements(D + 1))
 
 
 def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
@@ -213,15 +233,12 @@ def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
     are seeded independently as `{seed}:{trial}`, so results are reproducible
     and adding trials never changes earlier draws.  Each trial is exact with
     probability at least 1 - D/q_ext, so the failure odds decay as
-    (D/q_ext)^trials < 2^-trials.
+    (D/q_ext)^trials < 2^-trials.  Raises DomainError when that extension
+    exceeds the 2^20 table limit of extension fields.
     """
     check_side(side)
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
-    mat = _mulmuley_matrix(f, side, symmetrize=True)
-    s = mat.rows
-    D = s * (s - 1) // 2
-    _, vals = xm_charpoly_values(
-        mat, 2 * D + 1,
-        lambda ext: [random.Random(f"{seed}:{trial}").randrange(ext.q) for trial in range(trials)])
-    return max(symmetrized_dim(s, int(np.flatnonzero(v)[0])) for v in vals)
+    return _mulmuley_dim(
+        f, side, True, lambda D: 2 * D + 1,
+        lambda ext, D: [random.Random(f"{seed}:{trial}").randrange(ext.q) for trial in range(trials)])

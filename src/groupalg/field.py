@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import SpecError
 
-_EXT_ORDER_LIMIT = 1 << 20   # extension fields need full log/exp tables
+EXT_ORDER_LIMIT = 1 << 20    # extension fields need full log/exp tables
 _DIGIT_TABLE_LIMIT = 1 << 16  # precompute digit decompositions up to this order
 _PRIME_TABLE_LIMIT = 1 << 16  # inverse tables for prime fields
-_PRIME_LOG_LIMIT = 1 << 12    # log tables for prime fields (cumulative products)
 _MAX_PRIME = (1 << 31) - 1    # keeps a*b exact in int64
 _DOT_BLOCK = 1 << 22          # cap on temporary elements in a blocked dot
 
@@ -72,12 +71,6 @@ def _ptrim(c):
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                        for i in range(n)))
 
 
 def _psub(a, b, p):
@@ -177,14 +170,6 @@ def _default_modulus(p: int, m: int) -> tuple:
     raise SpecError(f"no irreducible polynomial of degree {m} over F_{p}")  # unreachable
 
 
-def _primitive_root(p: int) -> int:
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // l, p) != 1 for l in factors):
-            return g
-    raise SpecError(f"no primitive root mod {p}")  # unreachable for prime p
-
-
 class Field:
     """GF(p^m) with a fixed monic irreducible modulus.
 
@@ -200,7 +185,7 @@ class Field:
             raise SpecError(f"prime {p} exceeds the supported limit {_MAX_PRIME}")
         if not isinstance(m, int) or m < 1:
             raise SpecError(f"extension degree must be a positive integer, got {m!r}")
-        if m > 1 and p ** m > _EXT_ORDER_LIMIT:
+        if m > 1 and p ** m > EXT_ORDER_LIMIT:
             raise SpecError(
                 f"extension field order {p}^{m} exceeds the table limit 2^20")
         if modulus is None:
@@ -222,16 +207,12 @@ class Field:
         self.q = p ** m
         self.modulus = modulus
         self._pow_vec = p ** np.arange(m, dtype=np.int64)
-        self._exp = None
-        self._log = None
         self._inv_table = None
         self._neg_table = None
         self._digit_table = None
         if m == 1:
             if p <= _PRIME_TABLE_LIMIT:
                 self._inv_table = self._build_prime_inv()
-            if 2 < p <= _PRIME_LOG_LIMIT:
-                self._build_prime_logs()
         else:
             self._build_ext_tables()
             if self.q <= _DIGIT_TABLE_LIMIT:
@@ -247,18 +228,6 @@ class Field:
         for a in range(2, p):
             inv[a] = (-(p // a) * inv[p % a]) % p
         return inv
-
-    def _build_prime_logs(self):
-        p = self.p
-        g = _primitive_root(p)
-        exp = np.zeros(p - 1, dtype=np.int64)
-        acc = 1
-        for i in range(p - 1):
-            exp[i] = acc
-            acc = (acc * g) % p
-        log = np.zeros(p, dtype=np.int64)  # log[0] is a masked sentinel
-        log[exp] = np.arange(p - 1)
-        self._exp, self._log = exp, log
 
     def _build_ext_tables(self):
         p, m, q, f = self.p, self.m, self.q, self.modulus
@@ -431,25 +400,6 @@ class Field:
         out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.int64)
         for i in range(0, a.shape[0], step):
             out[i:i + step] = self.sum(self.mul(a[i:i + step], b), axis=1)
-        return out
-
-    def cummul(self, v):
-        """Cumulative products of a 1-d vector (used by charpoly)."""
-        v = np.asarray(v, dtype=np.int64)
-        if self.p == 2 and self.m == 1:
-            return np.cumprod(v)
-        if self._log is not None and self._exp is not None:
-            out = np.empty_like(v)
-            zeros = np.nonzero(v == 0)[0]
-            cut = int(zeros[0]) if zeros.size else v.size
-            out[:cut] = self._exp[np.cumsum(self._log[v[:cut]]) % (self.q - 1)]
-            out[cut:] = 0
-            return out
-        out = np.empty_like(v)
-        acc = 1
-        for i, x in enumerate(v.tolist()):
-            acc = (acc * x) % self.p
-            out[i] = acc
         return out
 
     # -- encoding helpers --

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .field import Field, embedding, make_field
+from .field import EXT_ORDER_LIMIT, Field, embedding, make_field
 
 class FMatrix:
     """A rows x cols matrix over a finite field."""
@@ -51,10 +51,6 @@ class FMatrix:
     @classmethod
     def identity(cls, field: Field, n: int) -> "FMatrix":
         return cls(field, np.eye(n, dtype=np.int64), validate=False)
-
-    @classmethod
-    def from_rows(cls, field: Field, rows) -> "FMatrix":
-        return cls(field, np.array([list(r) for r in rows], dtype=np.int64))
 
     def copy(self) -> "FMatrix":
         return FMatrix(self.field, self.data.copy(), validate=False)
@@ -355,6 +351,7 @@ def _charpoly_data(field: Field, a: np.ndarray) -> np.ndarray:
     # leading principal minors D_k of (zI - h), by the Hessenberg recurrence
     P = np.zeros((s + 1, s + 1), dtype=np.int64)
     P[0, 0] = 1
+    cum = np.empty(0, dtype=np.int64)
     for k in range(1, s + 1):
         prev = P[k - 1, :k]
         pk = np.zeros(s + 1, dtype=np.int64)
@@ -363,9 +360,9 @@ def _charpoly_data(field: Field, a: np.ndarray) -> np.ndarray:
         if hkk:
             pk[:k] = field.sub(pk[:k], field.mul(hkk, prev))
         if k > 1:
-            # subdiagonal products beta_{k-1}, beta_{k-1}beta_{k-2}, ...
-            betas = h[np.arange(k - 1, 0, -1), np.arange(k - 2, -1, -1)]
-            cum = field.cummul(betas)
+            # subdiagonal products beta_{k-1}, beta_{k-1}beta_{k-2}, ...,
+            # each step extending the previous step's products by beta_{k-1}
+            cum = field.mul(int(h[k - 1, k - 2]), np.concatenate(([1], cum)))
             hcol = h[np.arange(k - 2, -1, -1), k - 1]
             w = np.atleast_1d(field.mul(hcol, cum))
             nzw = np.nonzero(w)[0]
@@ -460,7 +457,9 @@ def xm_charpoly_values(mat: FMatrix, min_order: int, nodes):
     """Charpoly coefficients of diag(1, x, ..., x^{s-1}) . mat at nodes x.
 
     The nodes lie in the smallest extension F_{q^t} of the matrix field with
-    at least min_order elements; nodes(ext) lists them.
+    at least min_order elements; nodes(ext) lists them.  Raises DomainError,
+    before any node work, when that extension exceeds the 2^20-element table
+    limit of extension fields.
 
     Returns:
         (ext, vals): the extension and vals[i], the low-to-high coefficients
@@ -471,15 +470,21 @@ def xm_charpoly_values(mat: FMatrix, min_order: int, nodes):
     t = 1
     while f.q ** t < min_order:
         t += 1
+    if t > 1 and f.q ** t > EXT_ORDER_LIMIT:
+        raise DomainError(
+            f"the nodes need a field with at least {min_order} elements; the smallest "
+            f"extension of {f!r} with that many has {f.p}^{f.m * t} elements, "
+            f"beyond the table limit 2^20")
     ext = f if t == 1 else make_field(f.p, f.m * t)
     md = embedding(f, ext)(mat.data)
-    xs = [int(x) for x in nodes(ext)]
-    vals = np.empty((len(xs), s + 1), dtype=np.int64)
-    dpow = np.ones(s, dtype=np.int64)
-    for idx, xi in enumerate(xs):
-        if s > 1:
-            dpow[1:] = ext.cummul(np.full(s - 1, xi, dtype=np.int64))
-        vals[idx] = _charpoly_data(ext, ext.mul(md, dpow[:, None]))
+    xs = np.asarray(nodes(ext), dtype=np.int64)
+    # row i holds 1, x_i, ..., x_i^{s-1}: the diagonal of X at node x_i
+    xpow = np.ones((xs.size, s), dtype=np.int64)
+    for j in range(1, s):
+        xpow[:, j] = ext.mul(xpow[:, j - 1], xs)
+    vals = np.empty((xs.size, s + 1), dtype=np.int64)
+    for idx, row in enumerate(xpow):
+        vals[idx] = _charpoly_data(ext, ext.mul(md, row[:, None]))
     return ext, vals
 
 

@@ -105,7 +105,7 @@ def test_is_idempotent():
 
 
 def test_repr_uses_labels():
-    f, g = _ctx("gf:5", "cayley:fixtures/s3_paper.cayley")
+    f, g = _ctx("gf:5", "cayley:src/groupalg/data/s3_paper.cayley")
     e = AlgebraElem(f, g, (3, 3, 0, 0, 0, 0))
     assert repr(e) == "3 + 3*(12)"
     assert repr(AlgebraElem.zero(f, g)) == "0"

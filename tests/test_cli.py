@@ -7,7 +7,7 @@ import pytest
 
 from groupalg import cli
 
-S3_ORDER = ["--group", "symmetric:3", "--order", "fixtures/s3_paper.cayley"]
+S3_ORDER = ["--group", "symmetric:3", "--order", "src/groupalg/data/s3_paper.cayley"]
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +39,14 @@ def test_dim_zero_ideal_is_domain_error(capsys):
     assert code == 3
     assert out == ""  # no partial result
     assert "zero ideal" in err
+
+
+def test_mulmuley_beyond_the_extension_limit_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "dim", "--group", "cyclic:513", "--field", "gf:2",
+                             "--elem", "1:1,2:1", "--method", "mulmuley-random")
+    assert code == 3
+    assert out == ""
+    assert "2^21 elements, beyond the table limit 2^20" in err
 
 
 def test_dim_methods_agree(capsys):
@@ -274,7 +282,7 @@ def test_usage_errors_name_the_flag(capsys):
          "--field"),
         (["dim", "--group", "wedge:3", "--field", "gf:2", "--elem", "1:1"],
          "--group"),
-        (["dim", "--group", "cyclic:4", "--order", "fixtures/s3_paper.cayley",
+        (["dim", "--group", "cyclic:4", "--order", "src/groupalg/data/s3_paper.cayley",
           "--field", "gf:2", "--elem", "1:1"], "--order"),
         (["dim", "--group", "cyclic:4", "--field", "gf:2",
           "--elem", "9:1"], "--elem '9:1'"),

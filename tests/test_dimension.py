@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from groupalg import dimension, linalg
 from groupalg.algebra import AlgebraElem, random_element
 from groupalg.dimension import DimBound, IdealSpec, annihilator_basis, \
     dim_bound_charpoly, dim_ideal, dim_mulmuley_exact, dim_mulmuley_random, \
@@ -80,7 +81,7 @@ def test_dim_bound_unit_and_zero():
 
 
 def test_dim_bound_idempotent_is_exact():
-    f, g = _ctx("gf:5", "cayley:fixtures/s3_paper.cayley")
+    f, g = _ctx("gf:5", "cayley:src/groupalg/data/s3_paper.cayley")
     e = AlgebraElem(f, g, (3, 3, 0, 0, 0, 0))
     b = dim_bound_charpoly(e)
     assert b.exact and b.lower == 3 and b.k == 3
@@ -151,7 +152,7 @@ def test_annihilator_of_zero_and_unit():
 
 
 def test_idempotent_generator_known_case():
-    f, g = _ctx("gf:5", "cayley:fixtures/s3_paper.cayley")
+    f, g = _ctx("gf:5", "cayley:src/groupalg/data/s3_paper.cayley")
     a = AlgebraElem(f, g, (1, 1, 0, 0, 0, 0))
     e = idempotent_generator(a, "left")
     assert e.coeffs.tolist() == [3, 3, 0, 0, 0, 0]
@@ -216,8 +217,28 @@ def test_mulmuley_exact_matches_rank():
         for _ in range(5):
             a = random_element(f, g, rng)
             for side in ("left", "right"):
-                assert dim_mulmuley_exact(a, side) == \
-                    dim_ideal(IdealSpec(side, (a,))), (fspec, gspec, side)
+                d = dim_ideal(IdealSpec(side, (a,)))
+                xc = mulmuley_charpoly(a, side)  # the interpolated symbolic path
+                assert dim_mulmuley_exact(a, side) == d, (fspec, gspec, side)
+                assert (xc.size - xc.k) // 2 == d, (fspec, gspec, side)
+                if g.is_commutative:
+                    flat = mulmuley_charpoly(a, side, symmetrize=False)
+                    assert dim_mulmuley_exact(a, side, shortcut="commutative") == d
+                    assert flat.size - flat.k == d
+
+
+def test_mulmuley_exact_does_not_interpolate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dim_mulmuley_exact interpolated")
+
+    monkeypatch.setattr(linalg, "_interp_many", refuse)
+    monkeypatch.setattr(dimension, "charpoly_xm", refuse)
+    rng = random.Random(49)
+    for fspec, gspec in (("gf:2", "symmetric:3"), ("gf:3", "cyclic:6")):
+        f, g = _ctx(fspec, gspec)
+        for _ in range(3):
+            a = random_element(f, g, rng)
+            assert dim_mulmuley_exact(a, "left") == dim_ideal(_left(a)), (fspec, gspec)
 
 
 def test_mulmuley_commutative_shortcut():
@@ -261,6 +282,14 @@ def test_mulmuley_random_agrees_and_is_deterministic():
     a = AlgebraElem.one(*_ctx("gf:2", "cyclic:4"))
     with pytest.raises(SpecError):
         dim_mulmuley_random(a, trials=0)
+
+
+def test_mulmuley_beyond_the_extension_limit_is_a_domain_error():
+    # s = 1026 needs more than 2D = 1051650 elements: GF(2^21), past 2^20
+    f, g = _ctx("gf:2", "cyclic:513")
+    a = AlgebraElem(f, g, [1, 1] + [0] * 511)  # 1 + y, as `--elem 1:1,2:1`
+    with pytest.raises(DomainError, match=r"2\^21 elements, beyond the table limit 2\^20"):
+        dim_mulmuley_random(a)
 
 
 def test_dim_multiple_generators_monotone():

@@ -109,7 +109,7 @@ def test_vector_ops_match_scalar_loops():
         assert np.array_equal(f.mul(div, b[mask]), a[mask])
 
 
-def test_sum_and_cummul():
+def test_sum_matches_repeated_add():
     rng = random.Random(7)
     for spec in ("gf:7", "gf:2^4", "gf:3^2", "gf:2"):
         f = parse_field_spec(spec)
@@ -118,11 +118,6 @@ def test_sum_and_cummul():
         for x in v.tolist():
             total = f.add(total, x)
         assert f.sum(v) == total
-        cm = f.cummul(v)
-        acc = 1
-        for i, x in enumerate(v.tolist()):
-            acc = f.mul(acc, x)
-            assert cm[i] == acc
         m = np.array([[rng.randrange(f.q) for _ in range(4)] for _ in range(3)])
         rows = f.sum(m, axis=1)
         for i in range(3):

@@ -141,7 +141,7 @@ def test_full_ideal_code():
 
 def test_equal_ideals_export_identically():
     # different generators of one ideal produce the same canonical matrices
-    f, g = _ctx("gf:5", "cayley:fixtures/s3_paper.cayley")
+    f, g = _ctx("gf:5", "cayley:src/groupalg/data/s3_paper.cayley")
     a = AlgebraElem(f, g, (1, 1, 0, 0, 0, 0))
     e = AlgebraElem(f, g, (3, 3, 0, 0, 0, 0))  # idempotent generator, same ideal
     ca = build_code(IdealSpec("left", (a,)))

@@ -152,12 +152,34 @@ def test_charpoly_companion():
 
 def test_charpoly_matches_oracle():
     rng = random.Random(14)
-    for spec in ("gf:2", "gf:3", "gf:5", "gf:2^2"):
+    for spec in ("gf:2", "gf:3", "gf:5", "gf:7", "gf:2^2", "gf:3^2"):
         f = parse_field_spec(spec)
         for n in (1, 2, 3, 4, 5):
             a = _rand_matrix(rng, f, n, n)
             want = oracles.charpoly_coeffs(f.q, a.data.tolist())
             assert charpoly(a).coeffs == tuple(want), (spec, n)
+
+
+def test_charpoly_cayley_hamilton_at_the_largest_prime():
+    # the oracle cannot reach p = 2^31 - 1; check sum_i c_i A^i == 0 instead.
+    # On Hessenberg inputs with a nonzero subdiagonal the reduction is a no-op,
+    # so every running product of subdiagonal entries is nonzero and used.
+    rng = random.Random(18)
+    p = (1 << 31) - 1
+    f = make_field(p)
+    for hessenberg in (True, False):
+        for _ in range(3):
+            data = [[rng.randrange(p) if i <= j + 1 or not hessenberg else 0
+                     for j in range(6)] for i in range(6)]
+            for i in range(1, 6):
+                data[i][i - 1] = rng.randrange(1, p)
+            a = FMatrix(f, data)
+            acc = np.zeros((6, 6), dtype=np.int64)
+            power = FMatrix.identity(f, 6)
+            for c in charpoly(a).coeffs:
+                acc = f.add(acc, f.mul(c, power.data))
+                power = power @ a
+            assert not acc.any(), hessenberg
 
 
 def test_charpoly_similarity_invariant():
@@ -213,7 +235,7 @@ def test_charpoly_xm_specialization_consistency():
         from groupalg.field import embedding
         md = embedding(f, ext)(a.data)
         for x0 in range(min(6, ext.q)):
-            dpow = np.array([1] + list(ext.cummul(np.full(3, x0, dtype=np.int64))))
+            dpow = np.array([ext.pow(x0, j) for j in range(4)], dtype=np.int64)
             xm = FMatrix(ext, ext.mul(md, dpow[:, None]), validate=False)
             assert xc.specialize(x0) == charpoly(xm)
 
@@ -253,8 +275,8 @@ def test_charpoly_xm_identity():
     assert const.eval(2) == xc.field.neg(xc.field.pow(2, 3))
 
 
-def test_matmul_large_prime_object_path():
-    # large p forces the exact object-dtype fallback in matmul
+def test_matmul_large_prime_blocked_path():
+    # inner * (p-1)^2 reaches 2^63, so Field.dot sums reduced products blockwise
     p = 2147483629
     f = make_field(p)
     a = FMatrix(f, [[p - 1, p - 2], [1, 0]])
