@@ -2,10 +2,11 @@
 
 The rank of the stacked representation matrices is the ground truth.  The
 characteristic polynomial gives bounds for free, and the symbolic-diagonal
-method recovers the exact rank from characteristic polynomials evaluated
-in an extension field, either deterministically (the least z-valuation
-over enough nodes to pin every coefficient) or with random evaluation
-points (each trial is a certified lower bound).
+method recovers the exact rank from characteristic polynomials of n x n
+node matrices evaluated in an extension field, either deterministically
+(the least z-valuation over enough nonzero nodes to pin every coefficient)
+or with random nonzero evaluation points (each trial is a certified lower
+bound).
 """
 
 import random

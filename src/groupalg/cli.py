@@ -234,7 +234,8 @@ def cmd_dim(args) -> int:
         lines.append(f"k = {b.k}")
         lines.append(f"bounds = [{b.lower}, {b.upper}] (exact: {b.exact})")
     elif args.method == "mulmuley-exact":
-        # the doubled matrix has size s = 2n and valuation k = s - 2*dim
+        # k is reported for the doubled matrix [[0, F], [F^T, 0]] of size 2n,
+        # k = 2n - 2*dim, though the nodes use its n x n halving
         record["dim"] = dim_mulmuley_exact(gens[0], side=args.side)
         record["k"] = 2 * group.n - 2 * record["dim"]
         lines.append(f"k = {record['k']} (matrix size {2 * group.n})")

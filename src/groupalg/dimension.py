@@ -8,15 +8,21 @@ characteristic polynomial z^k * g(z), g(0) != 0, the dimension lies in
 attained whenever f is idempotent.
 
 Two further routes avoid computing the rank directly.  Both follow Mulmuley:
-with X = diag(1, x, ..., x^{s-1}) and M the symmetrized block matrix
-[[0, F], [F^T, 0]] of size s = 2n, the z-adic valuation of det(zI - X*M)
-with x symbolic is s - 2*rank(F), and specializing x to a field value can
-only raise it.  Every z-coefficient has x-degree at most D = s(s-1)/2, so
-the exact route evaluates at D+1 distinct nodes and takes the least
+with M the symmetrized block matrix [[0, F], [F^T, 0]] of size 2n and
+X = diag(1, x, ..., x^{2n-1}), the z-adic valuation of det(zI - X*M) with x
+symbolic is 2n - 2*rank(F), and specializing x to a field value can only
+raise it.  X*M is block anti-diagonal, so det(zI - X*M) = det(z^2 I - x^n C)
+with the n x n matrix C(x) = (X_1 F)(X_1 F^T), X_1 = diag(1, x, ..., x^{n-1}),
+and at a nonzero node rank(F) = n - (z-valuation of charpoly C(x0)).  By
+Cauchy-Binet the z-coefficient e_j(C) = sum over |S| = |T| = j of
+x^{sum S + sum T} det(F_{S,T})^2 has its x-exponents in a window of width at
+most W = n^2 // 2, so a nonzero one cannot vanish at W+1 distinct nonzero
+nodes.  The exact route evaluates at W+1 nonzero nodes and takes the least
 valuation, which is the symbolic one.  The randomized route takes a few
-random nodes from a larger extension instead: a lower bound on the
-dimension that is exact with probability at least 1 - (D / q_ext)^trials.
-Only mulmuley_charpoly interpolates the symbolic polynomial itself.
+random nonzero nodes from a field with q - 1 > 2W instead: a lower bound on
+the dimension that is exact with probability at least 1 - (W / (q-1))^trials.
+Only mulmuley_charpoly interpolates the symbolic polynomial itself, and it
+keeps the unhalved 2n x 2n form.
 """
 
 from __future__ import annotations
@@ -177,68 +183,70 @@ def mulmuley_charpoly(f: AlgebraElem, side: str = "left",
 
 
 def _mulmuley_dim(f: AlgebraElem, side: str, symmetrize: bool, min_order, nodes) -> int:
-    """rank(F) from the least z-valuation k of charpoly(X(x0) * M) over nodes x0.
+    """rank(F) = n - k, k the least z-valuation of the node charpolys.
 
-    With s the size of M and D = s(s-1)/2 the x-degree bound of every
-    z-coefficient, the nodes lie in the smallest extension with at least
-    min_order(D) elements and nodes(ext, D) lists them.  Specializing x can
-    only raise the valuation, so the least one over the nodes is the best
-    available.  rank(F) is s - k for M = F and (s - k) / 2 for the doubled
-    M = [[0, F], [F^T, 0]].
+    The node matrix is C(x0) = (X_1 F)(X_1 F^T), the halved form of the
+    doubled X*M, or X_1 F itself when symmetrize is False (the commutative
+    shortcut).  Its z-coefficients have x-exponents in a window of width
+    W = n^2 // 2, or n^2 // 4 for X_1 F (principal minors, exponents sum S),
+    so the nodes must be nonzero: they lie in the smallest extension with at
+    least min_order(W) elements and nodes(ext, W) lists them.  Specializing x
+    can only raise the valuation, so the least one over the nodes is the
+    best available.
     """
     check_side(side)
-    mat = _mulmuley_matrix(f, side, symmetrize)
-    s = mat.rows
-    D = s * (s - 1) // 2
-    _, vals = xm_charpoly_values(mat, min_order(D), lambda ext: nodes(ext, D))
-    d = s - min(int(np.flatnonzero(v)[0]) for v in vals)
-    if not symmetrize:
-        return d
-    if d % 2:
-        raise AssertionError("symmetrized valuation has wrong parity")
-    return d // 2
+    mat = rho_matrix(f) if side == "left" else lambda_matrix(f)
+    n = mat.rows
+    W = n * n // (2 if symmetrize else 4)
+    factors = (mat, mat.transpose()) if symmetrize else (mat,)
+    _, vals = xm_charpoly_values(factors, min_order(W), lambda ext: nodes(ext, W))
+    return n - min(int(np.flatnonzero(v)[0]) for v in vals)
 
 
 def dim_mulmuley_exact(f: AlgebraElem, side: str = "left",
                        shortcut: str = "auto") -> int:
     """Dimension of the one-sided ideal of f via Mulmuley's z-adic valuation.
 
-    The nodes are the first D+1 elements of the smallest extension with at
-    least D+2 elements.  Each z-coefficient of det(zI - X*M) has x-degree at
-    most D, and a nonzero one cannot vanish at all D+1 nodes, so the least
-    valuation over the nodes is the symbolic one; no interpolation is needed.
+    The nodes are the first W+1 nonzero elements of the smallest extension
+    with at least W+2 elements, W = n^2 // 2 the width of the x-exponent
+    window of every z-coefficient of charpoly C(x), C = (X_1 F)(X_1 F^T).  A
+    nonzero coefficient cannot vanish at all W+1 nodes, so the least valuation
+    over the nodes is the symbolic one and dim = n - k; no interpolation is
+    needed.
 
-    shortcut='commutative' skips the symmetric doubling and reads the rank
-    off the representation matrix itself (dim = s - k); it requires a
-    commutative group.  'symmetrize' (and 'auto') uses the doubled matrix
-    [[0, F], [F^T, 0]] of size s = 2n, where dim = (s - k) / 2.
+    shortcut='commutative' reads the rank off X_1 F itself (window n^2 // 4,
+    dim = n - k); it requires a commutative group.  'symmetrize' (and
+    'auto') uses C, the n x n halving of the doubled matrix
+    [[0, F], [F^T, 0]].
     """
     check_side(side)
     if shortcut not in ("auto", "symmetrize", "commutative"):
         raise SpecError(f"shortcut must be auto, symmetrize, or commutative, got {shortcut!r}")
     if shortcut == "commutative" and not f.group.is_commutative:
         raise DomainError("commutative shortcut on a non-commutative group")
-    return _mulmuley_dim(f, side, shortcut != "commutative", lambda D: D + 2,
-                         lambda ext, D: ext.elements(D + 1))
+    return _mulmuley_dim(f, side, shortcut != "commutative", lambda W: W + 2,
+                         lambda ext, W: ext.elements(W + 2)[1:])
 
 
 def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
                         trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> int:
     """Randomized dimension estimate: specialize x before the charpoly.
 
-    Each trial draws x0 from an extension field with more than 2*D elements
-    (D = s(s-1)/2) and computes the z-adic valuation of charpoly(X(x0)*M).
-    Specializing can only raise the valuation, so every trial yields a lower
-    bound on the dimension and the maximum over trials is reported.  Trials
-    are seeded independently as `{seed}:{trial}`, so results are reproducible
-    and adding trials never changes earlier draws.  Each trial is exact with
-    probability at least 1 - D/q_ext, so the failure odds decay as
-    (D/q_ext)^trials < 2^-trials.  Raises DomainError when that extension
-    exceeds the 2^20 table limit of extension fields.
+    Each trial draws a nonzero x0 from the smallest extension with q - 1 > 2W
+    (W = n^2 // 2) and computes the z-adic valuation k of charpoly C(x0),
+    C = (X_1 F)(X_1 F^T), giving n - k.  Specializing can only raise the
+    valuation, so every trial yields a lower bound on the dimension and the
+    maximum over trials is reported.  Trials are seeded independently as
+    `{seed}:{trial}`, so results are reproducible and adding trials never
+    changes earlier draws.  Each trial is exact with probability at least
+    1 - W/(q-1), so the failure odds decay as (W/(q-1))^trials < 2^-trials.
+    Raises DomainError when that extension exceeds the 2^20 table limit of
+    extension fields (over GF(2): groups of order 1024 and more).
     """
     check_side(side)
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
     return _mulmuley_dim(
-        f, side, True, lambda D: 2 * D + 1,
-        lambda ext, D: [random.Random(f"{seed}:{trial}").randrange(ext.q) for trial in range(trials)])
+        f, side, True, lambda W: 2 * W + 2,
+        lambda ext, W: [1 + random.Random(f"{seed}:{trial}").randrange(ext.q - 1)
+                        for trial in range(trials)])

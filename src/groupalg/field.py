@@ -358,12 +358,15 @@ class Field:
         return _ret(out.astype(np.int64))
 
     def sum(self, a, axis=None):
-        """Field sum along an axis (exact, unlike raw integer sums mod p only
-        for prime fields; extension fields reduce digit-wise)."""
+        """Field sum along an axis (axis=None sums everything): one integer
+        sum mod p over prime fields, one XOR reduction over GF(2^m), and a
+        digit-wise sum over other extension fields."""
         a = np.asarray(a, dtype=np.int64)
         if self.m == 1:
             # (p-1) * a.size stays well inside int64 at desk scale
             return _ret(np.asarray(a.sum(axis=axis) % self.p))
+        if self.p == 2:
+            return _ret(np.asarray(np.bitwise_xor.reduce(a, axis=axis)))
         d = self._digits(a)
         if axis is None:
             s = d.reshape(-1, self.m).sum(axis=0) % self.p

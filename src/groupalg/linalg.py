@@ -453,20 +453,22 @@ class XCharPoly:
         return "\n".join(lines) + "\n"
 
 
-def xm_charpoly_values(mat: FMatrix, min_order: int, nodes):
-    """Charpoly coefficients of diag(1, x, ..., x^{s-1}) . mat at nodes x.
+def xm_charpoly_values(factors, min_order: int, nodes):
+    """Charpoly coefficients of the product of X . m over m in factors, at nodes x.
 
-    The nodes lie in the smallest extension F_{q^t} of the matrix field with
-    at least min_order elements; nodes(ext) lists them.  Raises DomainError,
+    X = diag(1, x, ..., x^{n-1}) scales the rows of each n x n factor, so one
+    factor M gives X . M and two factors F, F^T give (X . F)(X . F^T).  The
+    nodes lie in the smallest extension F_{q^t} of the matrix field with at
+    least min_order elements; nodes(ext) lists them.  Raises DomainError,
     before any node work, when that extension exceeds the 2^20-element table
     limit of extension fields.
 
     Returns:
         (ext, vals): the extension and vals[i], the low-to-high coefficients
-        (length s+1) at the i-th node.
+        (length n+1) at the i-th node.
     """
-    f = mat.field
-    s = mat.rows
+    f = factors[0].field
+    n = factors[0].rows
     t = 1
     while f.q ** t < min_order:
         t += 1
@@ -476,15 +478,18 @@ def xm_charpoly_values(mat: FMatrix, min_order: int, nodes):
             f"extension of {f!r} with that many has {f.p}^{f.m * t} elements, "
             f"beyond the table limit 2^20")
     ext = f if t == 1 else make_field(f.p, f.m * t)
-    md = embedding(f, ext)(mat.data)
+    mds = [embedding(f, ext)(m.data) for m in factors]
     xs = np.asarray(nodes(ext), dtype=np.int64)
-    # row i holds 1, x_i, ..., x_i^{s-1}: the diagonal of X at node x_i
-    xpow = np.ones((xs.size, s), dtype=np.int64)
-    for j in range(1, s):
+    # row i holds 1, x_i, ..., x_i^{n-1}: the diagonal of X at node x_i
+    xpow = np.ones((xs.size, n), dtype=np.int64)
+    for j in range(1, n):
         xpow[:, j] = ext.mul(xpow[:, j - 1], xs)
-    vals = np.empty((xs.size, s + 1), dtype=np.int64)
+    vals = np.empty((xs.size, n + 1), dtype=np.int64)
     for idx, row in enumerate(xpow):
-        vals[idx] = _charpoly_data(ext, ext.mul(md, row[:, None]))
+        node = ext.mul(mds[0], row[:, None])
+        for md in mds[1:]:
+            node = ext.dot(node, ext.mul(md, row[:, None]))
+        vals[idx] = _charpoly_data(ext, node)
     return ext, vals
 
 
@@ -501,7 +506,7 @@ def charpoly_xm(mat: FMatrix) -> XCharPoly:
     s = mat.rows
     D = s * (s - 1) // 2
     xs = np.arange(D + 1, dtype=np.int64)
-    ext, vals = xm_charpoly_values(mat, D + 2, lambda ext: xs)
+    ext, vals = xm_charpoly_values((mat,), D + 2, lambda ext: xs)
     coeff_rows = _interp_many(ext, xs, vals.T.copy())
     zc = tuple(FPoly(ext, row) for row in coeff_rows)
     if zc[-1].coeffs != (1,):

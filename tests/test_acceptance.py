@@ -182,6 +182,7 @@ def test_criterion_08_cyclic_gcd_oracle_sweep():
 
 
 def test_criterion_09_method_agreement_100_instances():
+    started = time.perf_counter()
     rng = random.Random(809)
     plan = [("cyclic:3", 12), ("cyclic:4", 12), ("cyclic:6", 12),
             ("cyclic:8", 12), ("product:cyclic:2,cyclic:2", 16),
@@ -205,7 +206,7 @@ def test_criterion_09_method_agreement_100_instances():
             count += 1
     assert count == 100
     _pass(9, f"exact and randomized paths match rank on 100 instances "
-             f"({retried} needed the trials = 6 retry)")
+             f"({retried} needed the trials = 6 retry)", started, limit=15.0)
 
 
 def test_criterion_10_idempotent_property_suite():

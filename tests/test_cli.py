@@ -42,7 +42,7 @@ def test_dim_zero_ideal_is_domain_error(capsys):
 
 
 def test_mulmuley_beyond_the_extension_limit_is_a_domain_error(capsys):
-    code, out, err = run_cli(capsys, "dim", "--group", "cyclic:513", "--field", "gf:2",
+    code, out, err = run_cli(capsys, "dim", "--group", "cyclic:1024", "--field", "gf:2",
                              "--elem", "1:1,2:1", "--method", "mulmuley-random")
     assert code == 3
     assert out == ""

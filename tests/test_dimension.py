@@ -227,6 +227,58 @@ def test_mulmuley_exact_matches_rank():
                     assert flat.size - flat.k == d
 
 
+def _modular_elements(f, g, rng):
+    """(1 - t)*r and (sum of <t>)*r for t = g_1 and a random r: zero divisors."""
+    t = 1
+    orbit, cur = [0], t
+    while cur != 0:
+        orbit.append(cur)
+        cur = int(g.mul[cur, t])
+    one_minus_t = [0] * g.n
+    one_minus_t[0], one_minus_t[t] = 1, f.neg(1)
+    orbit_sum = [1 if i in orbit else 0 for i in range(g.n)]
+    r = random_element(f, g, rng)
+    return [AlgebraElem(f, g, one_minus_t) * r, AlgebraElem(f, g, orbit_sum) * r]
+
+
+def test_mulmuley_on_modular_elements():
+    rng = random.Random(50)
+    for gspec in ("cyclic:8", "cyclic:9", "dihedral:4", "symmetric:3"):
+        for fspec in ("gf:2", "gf:3", "gf:2^2"):
+            f, g = _ctx(fspec, gspec)
+            for a in _modular_elements(f, g, rng):
+                for side in ("left", "right"):
+                    d = dim_ideal(IdealSpec(side, (a,)))
+                    assert d < g.n
+                    assert dim_mulmuley_exact(a, side) == d, (fspec, gspec, side)
+                    assert dim_mulmuley_random(a, side) <= d, (fspec, gspec, side)
+                if gspec == "symmetric:3":
+                    # the unhalved symbolic reference; 0.1-0.5 s a call on the larger groups
+                    xc = mulmuley_charpoly(a, "left")
+                    assert (xc.size - xc.k) // 2 == dim_ideal(_left(a)), fspec
+
+
+def test_mulmuley_exact_on_modular_s4_elements():
+    f, g = _ctx("gf:2", "symmetric:4")
+    one_minus_t, orbit_sum = _modular_elements(f, g, random.Random(52))
+    assert dim_mulmuley_exact(one_minus_t, "left") == dim_ideal(_left(one_minus_t))
+    assert dim_mulmuley_exact(orbit_sum, "right") == dim_ideal(IdealSpec("right", (orbit_sum,)))
+
+
+def test_mulmuley_in_gf1031_stays_in_the_base_field():
+    # W = 24^2 // 2 = 288 needs at least 290 (exact) and 578 (random) elements,
+    # so both routes run in GF(1031) itself; a doubled 48 x 48 matrix would
+    # need 1031^2 > 2^20 elements
+    f, g = _ctx("gf:1031", "cyclic:24")
+    coeffs = [0] * 24
+    coeffs[0], coeffs[6] = 1, f.neg(1)
+    a = AlgebraElem(f, g, coeffs) * random_element(f, g, random.Random(51))
+    d = dim_ideal(_left(a))
+    assert d < 24
+    assert dim_mulmuley_exact(a, "left") == d
+    assert dim_mulmuley_random(a, "left") == d
+
+
 def test_mulmuley_exact_does_not_interpolate(monkeypatch):
     def refuse(*args):
         raise AssertionError("dim_mulmuley_exact interpolated")
@@ -285,9 +337,9 @@ def test_mulmuley_random_agrees_and_is_deterministic():
 
 
 def test_mulmuley_beyond_the_extension_limit_is_a_domain_error():
-    # s = 1026 needs more than 2D = 1051650 elements: GF(2^21), past 2^20
-    f, g = _ctx("gf:2", "cyclic:513")
-    a = AlgebraElem(f, g, [1, 1] + [0] * 511)  # 1 + y, as `--elem 1:1,2:1`
+    # n = 1024 has W = n^2 // 2 = 524288, and q - 1 > 2W needs GF(2^21), past 2^20
+    f, g = _ctx("gf:2", "cyclic:1024")
+    a = AlgebraElem(f, g, [1, 1] + [0] * 1022)  # 1 + y, as `--elem 1:1,2:1`
     with pytest.raises(DomainError, match=r"2\^21 elements, beyond the table limit 2\^20"):
         dim_mulmuley_random(a)
 

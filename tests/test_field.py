@@ -124,6 +124,39 @@ def test_sum_matches_repeated_add():
             assert rows[i] == f.sum(m[i])
 
 
+def test_sum_over_gf2m_matches_repeated_add():
+    # GF(2^17) is above the digit-table limit
+    rng = random.Random(8)
+    for spec in ("gf:2^2", "gf:2^11", "gf:2^17"):
+        f = parse_field_spec(spec)
+
+        def fold(xs):
+            total = 0
+            for x in xs:
+                total = f.add(total, int(x))
+            return total
+
+        m = np.array([[rng.randrange(f.q) for _ in range(5)] for _ in range(4)])
+        whole = f.sum(m)
+        assert isinstance(whole, int) and whole == fold(m.ravel()), spec
+        assert f.sum(m, axis=0).tolist() == [fold(col) for col in m.T], spec
+        for axis in (1, -1):
+            assert f.sum(m, axis=axis).tolist() == [fold(row) for row in m], spec
+        assert f.sum(np.zeros(0, dtype=np.int64)) == 0
+        assert f.sum(np.zeros((0, 3), dtype=np.int64), axis=0).tolist() == [0, 0, 0]
+        assert f.sum(np.zeros((3, 0), dtype=np.int64), axis=1).tolist() == [0, 0, 0]
+        assert f.sum(np.zeros((0, 3), dtype=np.int64), axis=1).shape == (0,)
+
+
+def test_dot_over_gf2_11_matches_oracle():
+    rng = random.Random(9)
+    f = parse_field_spec("gf:2^11")
+    a = np.array([[rng.randrange(f.q) for _ in range(4)] for _ in range(3)])
+    b = np.array([[rng.randrange(f.q) for _ in range(5)] for _ in range(4)])
+    assert f.dot(a, b).tolist() == oracles.matrix_mul(f.q, a.tolist(), b.tolist())
+    assert f.dot(a[0], b[:, 0]) == oracles.matrix_mul(f.q, a[:1].tolist(), b[:, :1].tolist())[0][0]
+
+
 def _as_rows(x):
     return [x] if x.ndim == 1 else x.tolist()
 

@@ -6,7 +6,7 @@ import pytest
 from groupalg.errors import SpecError
 from groupalg.field import make_field, parse_field_spec
 from groupalg.linalg import FMatrix, FPoly, charpoly, charpoly_xm, kernel_basis, \
-    lagrange_interpolate, rank, rref, solve, stack_matrices
+    lagrange_interpolate, rank, rref, solve, stack_matrices, xm_charpoly_values
 
 import oracles
 
@@ -252,6 +252,29 @@ def test_charpoly_xm_reads_rank_of_symmetrized():
             m[4:, :4] = a.data.T
             xc = charpoly_xm(FMatrix(f, m))
             assert xc.size - xc.k == 2 * r, spec
+
+
+def test_halved_node_charpolys_match_the_doubled_matrix():
+    # M = [[0, A], [A^T, 0]] and C = (X_1 A)(X_1 A^T) give det(zI - X M) = det(z^2 I - x^n C),
+    # and n minus the least valuation over W+1 = n^2 // 2 + 1 nonzero nodes is rank A
+    rng = random.Random(18)
+    shift = FMatrix(make_field(2), np.eye(4, k=1, dtype=np.int64))  # nilpotent: X . A is too
+    cases = [shift]
+    for spec in ("gf:2", "gf:3", "gf:2^2"):
+        f = parse_field_spec(spec)
+        cases += [_rand_matrix(rng, f, 4, r) @ _rand_matrix(rng, f, r, 4) for r in (1, 2, 3, 4)]
+    for a in cases:
+        m = np.zeros((8, 8), dtype=np.int64)
+        m[:4, 4:] = a.data
+        m[4:, :4] = a.data.T
+        nodes = lambda ext: ext.elements(10)[1:]
+        ext, half = xm_charpoly_values((a, a.transpose()), 10, nodes)
+        _, full = xm_charpoly_values((FMatrix(a.field, m),), 10, nodes)
+        for x0, h, d in zip(nodes(ext).tolist(), half, full):
+            xn = ext.pow(x0, 4)
+            assert not d[1::2].any()
+            assert d[0::2].tolist() == [ext.mul(ext.pow(xn, 4 - i), int(h[i])) for i in range(5)]
+        assert 4 - min(int(np.flatnonzero(v)[0]) for v in half) == rank(a), a.field
 
 
 def test_charpoly_xm_text_format():
