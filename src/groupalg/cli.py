@@ -5,11 +5,16 @@ selftest.  Exit codes: 0 success, 1 selftest failure, 2 usage/parse error,
 3 mathematical domain error.  `--json` switches to a single-line record with
 sorted keys, so identical inputs (and seeds) produce byte-identical output;
 elapsed time is only shown in text mode for the same reason.
+
+Each command but selftest is one row of COMMANDS: its handler returns the
+command's record fields, its text lines and an optional dump, and `_run`
+does the rest (context flags, --dump-matrix, text or JSON rendering).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -26,137 +31,62 @@ from .field import format_field_spec, parse_field_spec
 from .gcode import DEFAULT_BUDGET, build_code, code_to_text, min_distance
 from .groups import cayley_to_text, load_cayley_file, make_group, validate_group
 from .linalg import charpoly
-from .representation import lambda_matrix, rho_matrix, stack
+from .representation import rho_matrix, stack
 from .selftest import run_selftest
 
 METHODS = ("rank", "charpoly-bound", "mulmuley-exact", "mulmuley-random")
 
+# -- flags, as (name, add_argument keywords) --
 
-def _add_context_flags(sp, with_field: bool = True) -> None:
-    sp.add_argument("--group", required=True, metavar="SPEC",
-                    help="cyclic:n | dihedral:n | symmetric:n | "
-                         "product:<spec>,<spec> | cayley:<path> | perm:<path>")
-    sp.add_argument("--order", metavar="FILE",
-                    help="Cayley file that fixes the element order "
-                         "(replaces the --group table; orders must agree)")
-    if with_field:
-        sp.add_argument("--field", required=True, metavar="SPEC",
-                        help="gf:p | gf:p^m | gf:p^m:c0,...,cm")
-
-
-def _add_output_flags(sp) -> None:
-    sp.add_argument("--json", action="store_true",
-                    help="single-line JSON record (stable key order)")
-    sp.add_argument("--dump-matrix", action="store_true",
-                    help="also print the underlying matrix/table")
-
-
-def _add_elem_flags(sp) -> None:
-    sp.add_argument("--elem", action="append", default=[], metavar="PAIRS",
+_GROUP_FLAGS = (
+    ("--group", dict(required=True, metavar="SPEC",
+                     help="cyclic:n | dihedral:n | symmetric:n | "
+                          "product:<spec>,<spec> | cayley:<path> | perm:<path>")),
+    ("--order", dict(metavar="FILE",
+                     help="Cayley file that fixes the element order "
+                          "(replaces the --group table; orders must agree)")),
+)
+_FIELD_FLAG = ("--field", dict(required=True, metavar="SPEC",
+                               help="gf:p | gf:p^m | gf:p^m:c0,...,cm"))
+_ELEM_FLAGS = (
+    ("--elem", dict(action="append", default=[], metavar="PAIRS",
                     help="inline element '1:1,2:1' (1-based; prime fields); "
-                         "repeatable, one element per flag")
-    sp.add_argument("--elem-file", action="append", default=[], metavar="FILE",
-                    help="element file with one 'index:coeff' line per "
-                         "nonzero coefficient; repeatable")
-
-
-def _add_side_flag(sp, default: str) -> None:
-    sp.add_argument("--side", choices=("left", "right"), default=default,
-                    help=f"ideal side (default: {default})")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="groupalg",
-        description="Dimensions, idempotents, and codes of group algebra ideals.")
-    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    sp = sub.add_parser("dim", help="dimension of the ideal of the given generators")
-    _add_context_flags(sp)
-    _add_side_flag(sp, "left")
-    _add_elem_flags(sp)
-    sp.add_argument("--method", choices=METHODS, default="rank")
-    sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                    help="trials for mulmuley-random")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="seed for mulmuley-random")
-    _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_dim)
-
-    sp = sub.add_parser("bound", help="charpoly dimension bounds for one generator")
-    _add_context_flags(sp)
-    _add_side_flag(sp, "left")
-    _add_elem_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_bound)
-
-    sp = sub.add_parser("idempotent",
-                        help="idempotent generator of the ideal of one generator")
-    _add_context_flags(sp)
-    _add_side_flag(sp, "left")
-    _add_elem_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_idempotent)
-
-    sp = sub.add_parser("annihilator", help="basis of the annihilator of one element")
-    _add_context_flags(sp)
-    _add_side_flag(sp, "right")
-    _add_elem_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_annihilator)
-
-    sp = sub.add_parser("charpoly",
-                        help="characteristic polynomial of the representation matrix")
-    _add_context_flags(sp)
-    _add_side_flag(sp, "left")
-    _add_elem_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_charpoly)
-
-    sp = sub.add_parser("code", help="linear code of the ideal of the given generators")
-    _add_context_flags(sp)
-    _add_side_flag(sp, "left")
-    _add_elem_flags(sp)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="max q^k codewords to enumerate for the min distance")
-    _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_code)
-
-    sp = sub.add_parser("group-show", help="order, labels, and validation of a group")
-    _add_context_flags(sp, with_field=False)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_group_show)
-
-    sp = sub.add_parser("selftest", help="run the built-in fixture suite")
-    sp.add_argument("--filter", metavar="SUBSTRING", default=None,
-                    help="run only fixtures whose name contains SUBSTRING")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(handler=cmd_selftest)
-    return p
+                         "repeatable, one element per flag")),
+    ("--elem-file", dict(action="append", default=[], metavar="FILE",
+                         help="element file with one 'index:coeff' line per "
+                              "nonzero coefficient; repeatable")),
+)
+_OUTPUT_FLAGS = (
+    ("--json", dict(action="store_true",
+                    help="single-line JSON record (stable key order)")),
+    ("--dump-matrix", dict(action="store_true",
+                           help="also print the underlying matrix/table")),
+)
+_DIM_FLAGS = (
+    ("--method", dict(choices=METHODS, default="rank")),
+    ("--trials", dict(type=int, default=DEFAULT_TRIALS, help="trials for mulmuley-random")),
+    ("--seed", dict(type=int, default=DEFAULT_SEED, help="seed for mulmuley-random")),
+)
+_CODE_FLAGS = (
+    ("--budget", dict(type=int, default=DEFAULT_BUDGET,
+                      help="max q^k codewords to enumerate for the min distance")),
+)
 
 
 # -- shared plumbing --
 
-def _context(args):
+def _flag(flag: str, parse, *args):
+    """parse(*args), with a SpecError message prefixed by the flag it came from."""
     try:
-        field = parse_field_spec(args.field)
+        return parse(*args)
     except SpecError as e:
-        raise SpecError(f"--field: {e}") from None
-    group = _group(args)
-    return field, group
+        raise SpecError(f"{flag}: {e}") from None
 
 
 def _group(args):
-    try:
-        group = make_group(args.group)
-    except SpecError as e:
-        raise SpecError(f"--group: {e}") from None
+    group = _flag("--group", make_group, args.group)
     if args.order:
-        try:
-            ordered = load_cayley_file(args.order)
-        except SpecError as e:
-            raise SpecError(f"--order: {e}") from None
+        ordered = _flag("--order", load_cayley_file, args.order)
         if ordered.n != group.n:
             raise SpecError(
                 f"--order: file {args.order!r} has order {ordered.n}, "
@@ -165,23 +95,20 @@ def _group(args):
     return group
 
 
-def _generators(args, field, group, exactly_one: bool = False) -> list:
-    gens = []
-    for text in args.elem:
-        try:
-            gens.append(parse_element_inline(field, group, text))
-        except SpecError as e:
-            raise SpecError(f"--elem {text!r}: {e}") from None
-    for path in args.elem_file:
-        try:
-            gens.append(read_element_file(field, group, path))
-        except SpecError as e:
-            raise SpecError(f"--elem-file {path!r}: {e}") from None
+def _generators(args, field, group) -> list:
+    gens = [_flag(f"--elem {text!r}", parse_element_inline, field, group, text)
+            for text in args.elem]
+    gens += [_flag(f"--elem-file {path!r}", read_element_file, field, group, path)
+             for path in args.elem_file]
     if not gens:
         raise SpecError("need at least one --elem or --elem-file")
-    if exactly_one and len(gens) != 1:
-        raise SpecError(f"this command takes exactly one element, got {len(gens)}")
     return gens
+
+
+def _one(gens) -> AlgebraElem:
+    if len(gens) != 1:
+        raise SpecError(f"this command takes exactly one element, got {len(gens)}")
+    return gens[0]
 
 
 def _element_pairs(elem: AlgebraElem) -> list:
@@ -190,181 +117,187 @@ def _element_pairs(elem: AlgebraElem) -> list:
             for i in np.nonzero(elem.coeffs)[0]]
 
 
-def _emit(args, record: dict, lines: list, started: float) -> int:
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for ln in lines:
-            print(ln)
-        print(f"elapsed = {time.perf_counter() - started:.3f}s")
-    return 0
+def _rows(field, mat) -> list:
+    return [" ".join(field.format_value(v) for v in row) for row in mat.data]
 
 
-def _context_report(args, field, group, record: dict, lines: list) -> None:
-    record.update({"command": args.command, "group": group.name, "n": group.n,
-                   "field": format_field_spec(field)})
-    lines.append(f"group = {group.name} (n = {group.n})")
-    lines.append(f"field = {format_field_spec(field)}")
-    if hasattr(args, "side"):
-        record["side"] = args.side
-        lines.append(f"side = {args.side}")
+# -- commands: handler(args, generators) -> (record fields, text lines, dump),
+#    where dump is None or (key, thunk returning the dumped text) --
 
-
-# -- commands --
-
-def cmd_dim(args) -> int:
-    started = time.perf_counter()
-    field, group = _context(args)
-    single = args.method != "rank"
-    gens = _generators(args, field, group, exactly_one=single)
+def _dim(args, gens, method=None):
+    method = method or args.method
+    if method != "rank":
+        gens = [_one(gens)]
     if all(g.is_zero for g in gens):
         raise DomainError("zero ideal: every generator is zero")
-    record, lines = {}, []
-    _context_report(args, field, group, record, lines)
-    record.update({"method": args.method, "dim": None, "k": None, "charpoly": None})
-    lines.append(f"method = {args.method}")
-    if args.method == "rank":
-        record["dim"] = dim_ideal(IdealSpec(side=args.side, generators=tuple(gens)))
-    elif args.method == "charpoly-bound":
-        b = dim_bound_charpoly(gens[0], side=args.side)
+    f, side = gens[0], args.side
+    record = {"method": method, "dim": None, "k": None, "charpoly": None}
+    lines = [f"method = {method}"]
+    if method == "rank":
+        record["dim"] = dim_ideal(IdealSpec(side=side, generators=tuple(gens)))
+    elif method == "charpoly-bound":
+        b = dim_bound_charpoly(f, side=side)
         record.update({"k": b.k, "charpoly": b.charpoly.to_text().strip(),
                        "lower": b.lower, "upper": b.upper, "exact": b.exact,
                        "dim": b.lower if b.exact else None})
         lines.append(f"charpoly = {record['charpoly']}")
         lines.append(f"k = {b.k}")
         lines.append(f"bounds = [{b.lower}, {b.upper}] (exact: {b.exact})")
-    elif args.method == "mulmuley-exact":
+    elif method == "mulmuley-exact":
         # k is reported for the doubled matrix [[0, F], [F^T, 0]] of size 2n,
         # k = 2n - 2*dim, though the nodes use its n x n halving
-        record["dim"] = dim_mulmuley_exact(gens[0], side=args.side)
-        record["k"] = 2 * group.n - 2 * record["dim"]
-        lines.append(f"k = {record['k']} (matrix size {2 * group.n})")
+        record["dim"] = dim_mulmuley_exact(f, side=side)
+        record["k"] = 2 * f.group.n - 2 * record["dim"]
+        lines.append(f"k = {record['k']} (matrix size {2 * f.group.n})")
     else:
-        record["dim"] = dim_mulmuley_random(gens[0], side=args.side,
-                                            trials=args.trials, seed=args.seed)
+        record["dim"] = dim_mulmuley_random(f, side=side, trials=args.trials, seed=args.seed)
         record.update({"trials": args.trials, "seed": args.seed})
         lines.append(f"trials = {args.trials}, seed = {args.seed}")
     if record["dim"] is not None:
         lines.append(f"dim = {record['dim']}")
-    if args.dump_matrix:
-        text = stack(gens, args.side).to_text()
-        record["matrix"] = text
-        lines.extend(["matrix:", text.rstrip("\n")])
-    return _emit(args, record, lines, started)
+    return record, lines, ("matrix", lambda: stack(gens, side).to_text())
 
 
-def cmd_bound(args) -> int:
-    args.method = "charpoly-bound"
-    return cmd_dim(args)
-
-
-def cmd_idempotent(args) -> int:
-    started = time.perf_counter()
-    field, group = _context(args)
-    f = _generators(args, field, group, exactly_one=True)[0]
+def _idempotent(args, gens):
+    f = _one(gens)
     e = idempotent_generator(f, side=args.side)
-    record, lines = {}, []
-    _context_report(args, field, group, record, lines)
-    lines.append(f"f = {f!r}")
     if e is None:
-        record.update({"e": None, "idempotent": None, "fixes_f": None})
-        lines.append("e = none")
-        return _emit(args, record, lines, started)
+        return ({"e": None, "idempotent": None, "fixes_f": None},
+                [f"f = {f!r}", "e = none"], None)
     ok_idem = e.is_idempotent()
     fixes = (f * e == f) if args.side == "left" else (e * f == f)
-    record.update({"e": _element_pairs(e), "idempotent": ok_idem, "fixes_f": fixes})
-    lines.append(f"e = {e!r}")
-    lines.append(f"e (element format) = {' '.join(_element_pairs(e))}")
-    lines.append(f"e*e == e: {ok_idem}")
-    lines.append(f"{'f*e == f' if args.side == 'left' else 'e*f == f'}: {fixes}")
-    if args.dump_matrix:
-        text = rho_matrix(e).to_text() if args.side == "left" else lambda_matrix(e).to_text()
-        record["matrix"] = text
-        lines.extend(["matrix:", text.rstrip("\n")])
-    return _emit(args, record, lines, started)
+    pairs = _element_pairs(e)
+    lines = [f"f = {f!r}",
+             f"e = {e!r}",
+             f"e (element format) = {' '.join(pairs)}",
+             f"e*e == e: {ok_idem}",
+             f"{'f*e == f' if args.side == 'left' else 'e*f == f'}: {fixes}"]
+    return ({"e": pairs, "idempotent": ok_idem, "fixes_f": fixes}, lines,
+            ("matrix", lambda: stack([e], args.side).to_text()))
 
 
-def cmd_annihilator(args) -> int:
-    started = time.perf_counter()
-    field, group = _context(args)
-    f = _generators(args, field, group, exactly_one=True)[0]
-    basis = annihilator_basis(f, side=args.side)
-    record, lines = {}, []
-    _context_report(args, field, group, record, lines)
-    record.update({"count": len(basis), "basis": [_element_pairs(v) for v in basis]})
-    lines.append(f"f = {f!r}")
-    lines.append(f"count = {len(basis)}")
-    for j, v in enumerate(basis, start=1):
-        lines.append(f"a{j} = {' '.join(_element_pairs(v)) or '0'}")
-    return _emit(args, record, lines, started)
+def _annihilator(args, gens):
+    f = _one(gens)
+    basis = [_element_pairs(v) for v in annihilator_basis(f, side=args.side)]
+    lines = [f"f = {f!r}", f"count = {len(basis)}"]
+    lines.extend(f"a{j} = {' '.join(v) or '0'}" for j, v in enumerate(basis, start=1))
+    # the basis is read off the kernel of this matrix
+    target = f if args.side == "right" else f.star()
+    return ({"count": len(basis), "basis": basis}, lines,
+            ("matrix", lambda: rho_matrix(target).to_text()))
 
 
-def cmd_charpoly(args) -> int:
-    started = time.perf_counter()
-    field, group = _context(args)
-    f = _generators(args, field, group, exactly_one=True)[0]
-    mat = rho_matrix(f) if args.side == "left" else lambda_matrix(f)
+def _charpoly(args, gens):
+    mat = stack([_one(gens)], args.side)
     cp = charpoly(mat)
-    record, lines = {}, []
-    _context_report(args, field, group, record, lines)
-    record.update({"charpoly": cp.to_text().strip(), "k": cp.valuation()})
-    lines.append(f"charpoly = {record['charpoly']}")
-    lines.append(f"k = {record['k']}")
-    if args.dump_matrix:
-        record["matrix"] = mat.to_text()
-        lines.extend(["matrix:", record["matrix"].rstrip("\n")])
-    return _emit(args, record, lines, started)
+    record = {"charpoly": cp.to_text().strip(), "k": cp.valuation()}
+    lines = [f"charpoly = {record['charpoly']}", f"k = {record['k']}"]
+    return record, lines, ("matrix", mat.to_text)
 
 
-def cmd_code(args) -> int:
-    started = time.perf_counter()
-    field, group = _context(args)
-    gens = _generators(args, field, group)
+def _code(args, gens):
+    field = gens[0].field
     code = build_code(IdealSpec(side=args.side, generators=tuple(gens)))
     total = field.q ** code.k
     if total <= args.budget:
         d, skipped = min_distance(code, budget=args.budget), None
     else:
         d, skipped = None, f"q^k = {total} exceeds budget {args.budget}"
-    record, lines = {}, []
-    _context_report(args, field, group, record, lines)
-    gen_rows = [" ".join(field.format_value(v) for v in row) for row in code.genmat.data]
-    par_rows = [" ".join(field.format_value(v) for v in row) for row in code.paritymat.data]
-    record.update({"k": code.k, "d": d, "d_skipped": skipped,
-                   "genmat": gen_rows, "paritymat": par_rows})
-    lines.append(f"[{code.n},{code.k}]" + (f" d={d}" if d is not None else ""))
+    gen_rows, par_rows = _rows(field, code.genmat), _rows(field, code.paritymat)
+    lines = [f"[{code.n},{code.k}]" + (f" d={d}" if d is not None else "")]
     if skipped:
         lines.append(f"d skipped: {skipped}")
-    lines.append("genmat:")
-    lines.extend(gen_rows)
-    lines.append("paritymat:")
-    lines.extend(par_rows)
-    if args.dump_matrix:
-        record["export"] = code_to_text(code)
-        lines.extend(["export:", record["export"].rstrip("\n")])
-    return _emit(args, record, lines, started)
+    lines += ["genmat:", *gen_rows, "paritymat:", *par_rows]
+    return ({"k": code.k, "d": d, "d_skipped": skipped,
+             "genmat": gen_rows, "paritymat": par_rows}, lines,
+            ("export", lambda: code_to_text(code)))
 
 
-def cmd_group_show(args) -> int:
-    started = time.perf_counter()
-    group = _group(args)
+def _group_show(args, group):
     report = validate_group(group, level="fast")
-    record = {"command": args.command, "group": group.name, "n": group.n,
+    record = {"group": group.name, "n": group.n,
               "commutative": group.is_commutative, "labels": list(group.labels),
               "validation_ok": report.ok, "violations": list(report.violations)}
     lines = [f"group = {group.name}",
              f"n = {group.n}",
              f"commutative = {group.is_commutative}",
              f"labels = {' '.join(group.labels)}",
-             f"validation (fast) = {'ok' if report.ok else 'FAILED'}"]
-    lines.extend(report.violations)
-    if args.dump_matrix:
-        record["cayley"] = cayley_to_text(group)
-        lines.extend(["cayley:", record["cayley"].rstrip("\n")])
-    return _emit(args, record, lines, started)
+             f"validation (fast) = {'ok' if report.ok else 'FAILED'}",
+             *report.violations]
+    return record, lines, ("cayley", lambda: cayley_to_text(group))
 
 
-def cmd_selftest(args) -> int:
+# name -> (handler, help, default --side, extra flags).  A default side of
+# None marks a command on the group alone: no --field, --side or elements,
+# and its handler takes the group instead of the generators.
+COMMANDS = {
+    "dim": (_dim, "dimension of the ideal of the given generators", "left", _DIM_FLAGS),
+    "bound": (functools.partial(_dim, method="charpoly-bound"),
+              "charpoly dimension bounds for one generator", "left", ()),
+    "idempotent": (_idempotent, "idempotent generator of the ideal of one generator",
+                   "left", ()),
+    "annihilator": (_annihilator, "basis of the annihilator of one element", "right", ()),
+    "charpoly": (_charpoly, "characteristic polynomial of the representation matrix",
+                 "left", ()),
+    "code": (_code, "linear code of the ideal of the given generators", "left", _CODE_FLAGS),
+    "group-show": (_group_show, "order, labels, and validation of a group", None, ()),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="groupalg",
+        description="Dimensions, idempotents, and codes of group algebra ideals.")
+    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (_, help_text, side, extra) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        flags = list(_GROUP_FLAGS)
+        if side is not None:
+            flags += [_FIELD_FLAG,
+                      ("--side", dict(choices=("left", "right"), default=side,
+                                      help=f"ideal side (default: {side})")),
+                      *_ELEM_FLAGS]
+        for flag, kwargs in [*flags, *extra, *_OUTPUT_FLAGS]:
+            sp.add_argument(flag, **kwargs)
+    sp = sub.add_parser("selftest", help="run the built-in fixture suite")
+    sp.add_argument("--filter", metavar="SUBSTRING", default=None,
+                    help="run only fixtures whose name contains SUBSTRING")
+    sp.add_argument("--json", action="store_true")
+    return p
+
+
+def _run(args) -> int:
+    """Resolve the context flags, run the command's handler, apply
+    --dump-matrix, and print the record as JSON or as text lines."""
+    started = time.perf_counter()
+    handler, _, side, _ = COMMANDS[args.command]
+    if side is None:
+        record = {"command": args.command}
+        fields, lines, dump = handler(args, _group(args))
+    else:
+        field = _flag("--field", parse_field_spec, args.field)
+        group = _group(args)
+        fields, more, dump = handler(args, _generators(args, field, group))
+        spec = format_field_spec(field)
+        record = {"command": args.command, "group": group.name, "n": group.n,
+                  "field": spec, "side": args.side}
+        lines = [f"group = {group.name} (n = {group.n})", f"field = {spec}",
+                 f"side = {args.side}", *more]
+    record.update(fields)
+    if args.dump_matrix and dump is not None:
+        key, text = dump[0], dump[1]()
+        record[key] = text
+        lines += [f"{key}:", text.rstrip("\n")]
+    if args.json:
+        print(json.dumps(record, sort_keys=True))
+    else:
+        print(*lines, sep="\n")
+        print(f"elapsed = {time.perf_counter() - started:.3f}s")
+    return 0
+
+
+def _selftest(args) -> int:
     results = run_selftest(args.filter)
     if args.json:
         record = {"command": "selftest",
@@ -393,7 +326,7 @@ def main(argv=None) -> int:
             return e.code
         return 0 if e.code is None else 2
     try:
-        return args.handler(args)
+        return _selftest(args) if args.command == "selftest" else _run(args)
     except SpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

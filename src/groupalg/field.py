@@ -263,11 +263,15 @@ class Field:
             digits[start:start + step] = (prev @ mul_mat) % p
             start += step
         exp = digits @ self._pow_vec
-        log = np.zeros(q, dtype=np.int64)  # log[0] is a masked sentinel
+        # log[0] = 2(q-1) and an antilog table of two periods then zeros make
+        # mul one gather: a log sum of nonzero elements is below 2(q-1), and
+        # one with a zero lands in [2(q-1), 4(q-1)], where the table holds 0
+        log = np.full(q, 2 * (q - 1), dtype=np.int64)
         log[exp] = np.arange(q - 1)
         inv = np.zeros(q, dtype=np.int64)
         inv[exp] = exp[(q - 1 - np.arange(q - 1)) % (q - 1)]
-        self._exp, self._log, self._inv_table = exp, log, inv
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * (q - 1) + 1, dtype=np.int64)])
+        self._log, self._inv_table = log, inv
         if p > 2:
             d = self._digits_raw(np.arange(q, dtype=np.int64))
             self._neg_table = ((p - d) % p) @ self._pow_vec
@@ -328,8 +332,7 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.m == 1:
             return _ret((a * b) % self.p)
-        t = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return _ret(np.where((a == 0) | (b == 0), 0, t))
+        return _ret(np.asarray(self._exp[self._log[a] + self._log[b]]))
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)

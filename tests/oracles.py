@@ -18,6 +18,8 @@ ORACLE_MODULI = {
     16: (1, 0, 0, 1, 1),  # x^4 + x^3 + 1 over F_2
     25: (1, 1, 1),        # x^2 + x + 1 over F_5
     27: (1, 0, 2, 1),     # x^3 + 2x^2 + 1 over F_3
+    125: (1, 0, 1, 1),    # x^3 + x^2 + 1 over F_5
+    512: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),  # x^9 + x^8 + 1 over F_2
     2048: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),  # x^11 + x^9 + 1 over F_2
 }
 

@@ -1,19 +1,77 @@
 import json
+import os
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
 
-import pytest
-
 from groupalg import cli
+from groupalg.field import make_field
+from groupalg.linalg import FMatrix, rank
 
 S3_ORDER = ["--group", "symmetric:3", "--order", "src/groupalg/data/s3_paper.cayley"]
+S3_F5 = [*S3_ORDER, "--field", "gf:5"]
+C6_F2 = ["--group", "cyclic:6", "--field", "gf:2", "--elem", "1:1,4:1"]
+
+# Golden CLI set: every command in both renderings.  Each case runs as given
+# and with --json; tests/data/cli_golden.json holds the expected exit code,
+# stdout and stderr, with the text-mode elapsed line masked.
+GOLDEN_CASES = {
+    "dim-rank": ["dim", *S3_F5, "--elem", "1:1,2:1"],
+    "dim-rank-right-dump": ["dim", *S3_F5, "--side", "right", "--elem", "1:1,2:1",
+                            "--elem", "3:2", "--dump-matrix"],
+    "dim-bound-exact": ["dim", *S3_F5, "--method", "charpoly-bound", "--elem", "1:3,2:3"],
+    "dim-bound-inexact": ["dim", *S3_F5, "--method", "charpoly-bound", "--elem", "1:1,2:1"],
+    "dim-mulmuley-exact": ["dim", "--group", "dihedral:3", "--field", "gf:5",
+                           "--elem", "1:1,4:2", "--method", "mulmuley-exact"],
+    "dim-mulmuley-random": ["dim", "--group", "dihedral:3", "--field", "gf:5",
+                            "--elem", "1:1,4:2", "--method", "mulmuley-random",
+                            "--trials", "4", "--seed", "11"],
+    "dim-zero-ideal": ["dim", "--group", "cyclic:4", "--field", "gf:2", "--elem", ""],
+    "dim-ext-inline": ["dim", "--group", "cyclic:3", "--field", "gf:2^2", "--elem", "1:1"],
+    "bound-dump": ["bound", *S3_F5, "--elem", "1:1,2:1", "--dump-matrix"],
+    "idempotent-left-dump": ["idempotent", *S3_F5, "--elem", "1:1,2:1", "--dump-matrix"],
+    "idempotent-right-dump": ["idempotent", *S3_F5, "--side", "right",
+                              "--elem", "1:1,2:1", "--dump-matrix"],
+    "idempotent-none": ["idempotent", "--group", "product:cyclic:2,cyclic:2",
+                        "--field", "gf:2", "--elem", "1:1,2:1"],
+    "annihilator-left": ["annihilator", *S3_F5, "--side", "left", "--elem", "1:1,2:1"],
+    "annihilator-right": ["annihilator", *S3_F5, "--elem", "1:1,2:1"],
+    "charpoly-dump": ["charpoly", *S3_F5, "--side", "right", "--elem", "1:1,3:2",
+                      "--dump-matrix"],
+    "code-dump": ["code", *C6_F2, "--dump-matrix"],
+    "code-budget-skip": ["code", *C6_F2, "--budget", "4"],
+    "group-show-dump": ["group-show", "--group", "dihedral:3", "--dump-matrix"],
+    "group-show-order-mismatch": ["group-show", "--group", "cyclic:4",
+                                  "--order", "src/groupalg/data/s3_paper.cayley"],
+    "selftest-klein": ["selftest", "--filter", "klein"],
+}
+GOLDEN_FILE = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+ELAPSED = re.compile(r"^elapsed = \d+\.\d{3}s$", re.M)
+
+
+def golden_runs():
+    """(id, argv) for every golden case in text and --json rendering."""
+    for name, argv in GOLDEN_CASES.items():
+        yield name, argv
+        yield f"{name} --json", [*argv, "--json"]
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def test_golden_cli_output(capsys):
+    expected = json.loads(GOLDEN_FILE.read_text())
+    assert sorted(expected) == sorted(key for key, _ in golden_runs())
+    for key, argv in golden_runs():
+        code, out, err = run_cli(capsys, *argv)
+        got = {"code": code, "stdout": ELAPSED.sub("elapsed = <masked>", out),
+               "stderr": err}
+        assert got == expected[key], key
 
 
 def test_dim_paper_ordering(capsys):
@@ -135,6 +193,21 @@ def test_annihilator(capsys):
                            "--field", "gf:2", "--elem", "1:1,4:1", "--json")
     rec = json.loads(out)
     assert rec["count"] == 3 and len(rec["basis"]) == 3
+
+
+def test_annihilator_dump_matrix_has_complementary_rank(capsys):
+    for side in ("left", "right"):
+        argv = ["annihilator", *S3_F5, "--side", side, "--elem", "1:1,4:1,5:1",
+                "--dump-matrix"]
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        rec = json.loads(out)
+        mat = FMatrix.from_text(make_field(5), rec["matrix"])
+        assert mat.rows == mat.cols == rec["n"] == 6
+        assert rec["count"] == 2 and rank(mat) == rec["n"] - rec["count"], side
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert f"matrix:\n{rec['matrix']}elapsed = " in out
 
 
 def test_charpoly_command(capsys):
@@ -329,10 +402,19 @@ def test_version_flag(capsys):
 
 def test_console_script_smoke():
     exe = shutil.which("groupalg")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "dim", "--group", "cyclic:6", "--field",
-                           "gf:2", "--elem", "1:1,4:1", "--json"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+    if exe is not None:
+        cmd, env = [exe], None
+    else:  # not installed: run the module from the source tree
+        cmd, env = [sys.executable, "-m", "groupalg.cli"], {**os.environ, "PYTHONPATH": "src"}
+
+    def run(*argv):
+        return subprocess.run([*cmd, *argv], capture_output=True, text=True, env=env)
+
+    proc = run("dim", "--group", "cyclic:6", "--field", "gf:2", "--elem", "1:1,4:1", "--json")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout)["dim"] == 3
+    proc = run("dim", "--group", "cyclic:6", "--field", "gf:6", "--elem", "1:1")
+    assert proc.returncode == 2 and "--field" in proc.stderr
+    proc = run("dim", "--group", "cyclic:4", "--field", "gf:2", "--elem", "")
+    assert proc.returncode == 3 and proc.stdout == ""

@@ -48,6 +48,30 @@ def test_extension_field_matches_oracle():
                 assert f.mul(a, f.inv(a)) == 1
 
 
+def test_extension_mul_all_pairs_match_oracle():
+    # every pair, zeros included: the zero sentinel in the log table must
+    # land in the zero half of the antilog table
+    for q in (4, 9, 125, 512):
+        o = OracleField(q)
+        f = make_field(o.p, o.m)
+        assert f.modulus == o.modulus
+        if q == 512:
+            # bilinearity over F_2: a*b is the XOR of a*x^i over the set bits i of b
+            basis = np.array([[o.mul(a, 1 << i) for i in range(o.m)] for a in range(q)])
+            bits = (np.arange(q)[:, None] >> np.arange(o.m)) & 1
+            table = np.bitwise_xor.reduce(basis[:, None, :] * bits[None, :, :], axis=2)
+        else:
+            table = np.array([[o.mul(a, b) for b in range(q)] for a in range(q)])
+        xs = np.arange(q, dtype=np.int64)
+        assert np.array_equal(f.mul(xs[:, None], xs[None, :]), table), q
+        assert np.array_equal(f.mul(xs, xs), np.diag(table)), q
+        for a in (0, 1, 2, q - 1):
+            assert np.array_equal(f.mul(a, xs), table[a]), (q, a)
+            for b in (0, 1, q - 2, q - 1):
+                got = f.mul(a, b)
+                assert type(got) is int and got == table[a, b], (q, a, b)
+
+
 def test_explicit_modulus_accepted():
     f = parse_field_spec("gf:2^3:1,1,0,1")
     assert f.modulus == (1, 1, 0, 1)
