@@ -87,8 +87,9 @@ class AlgebraElem:
         if not isinstance(other, AlgebraElem):
             return NotImplemented
         _check_context(self, other)
-        # a*b = a . rho(b): the coefficient of g_k sums a_i b_j over g_i g_j = g_k
-        prod = self.field.dot(self.coeffs, other.coeffs[self.group.modified_cayley()])
+        # a*b = a . rho(b) = a[inv] . b[mul]: coefficient k sums a(g_i^-1) b(g_i g_k)
+        g = self.group
+        prod = self.field.dot(self.coeffs[g.inv], other.coeffs[g.mul])
         return AlgebraElem(self.field, self.group, prod, validate=False)
 
     def scale(self, c) -> "AlgebraElem":

@@ -5,7 +5,7 @@ sum f_j*A) equals the rank of the stacked representation matrices of the
 generators.  For a single generator f with representation matrix F and
 characteristic polynomial z^k * g(z), g(0) != 0, the dimension lies in
 [n - k, n - 1] when k >= 1 and equals n when k = 0; the lower bound is
-attained whenever f is idempotent.
+attained when k = 1 (the bounds meet) and whenever f is idempotent.
 
 Two further routes avoid computing the rank directly.  Both follow Mulmuley:
 with M the symmetrized block matrix [[0, F], [F^T, 0]] of size 2n and
@@ -36,7 +36,7 @@ from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
 from .linalg import FMatrix, FPoly, XCharPoly, charpoly, charpoly_xm, kernel_basis, rank, solve, \
     xm_charpoly_values
-from .representation import check_side, lambda_matrix, rho_matrix, stack
+from .representation import check_side, rho_matrix, side_matrix, stack
 
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 3
@@ -92,16 +92,15 @@ def dim_bound_charpoly(f: AlgebraElem, side: str = "left") -> DimBound:
     With z^k the exact power of z dividing the characteristic polynomial of
     the representation matrix: k = 0 means the matrix is invertible and the
     ideal is all of A (dim n, exact); otherwise n - k <= dim <= n - 1, and
-    the lower bound is the dimension whenever f is idempotent.
+    the lower bound is the dimension when k = 1 (the bounds meet) and
+    whenever f is idempotent.
     """
-    check_side(side)
-    mat = rho_matrix(f) if side == "left" else lambda_matrix(f)
-    cp = charpoly(mat)
+    cp = charpoly(side_matrix(f, side))
     k = cp.valuation()
     n = f.group.n
     if k == 0:
         return DimBound(lower=n, upper=n, exact=True, k=0, charpoly=cp)
-    exact = f.is_idempotent()
+    exact = k == 1 or f.is_idempotent()
     return DimBound(lower=n - k, upper=n - 1, exact=exact, k=k, charpoly=cp)
 
 
@@ -145,12 +144,11 @@ def idempotent_generator(f: AlgebraElem, side: str = "left"):
     check_side(side)
     if f.is_zero:
         raise DomainError("zero element: the zero ideal has no idempotent generator")
-    r = rho_matrix(f)
-    lam = lambda_matrix(f)
     # columns of `span` are the candidate generators g_i*f (resp. f*g_i)
-    span = (r if side == "left" else lam).transpose()
-    # applying f on the ideal side maps coefficient columns through this
-    act = (lam if side == "left" else r).transpose()
+    span = side_matrix(f, side).transpose()
+    # applying f on the ideal side maps coefficient columns through the
+    # matrix of the other side
+    act = side_matrix(f, "right" if side == "left" else "left").transpose()
     sol = solve(act @ span, f.coeffs)
     if sol is None:
         return None
@@ -165,7 +163,7 @@ def idempotent_generator(f: AlgebraElem, side: str = "left"):
 
 
 def _mulmuley_matrix(f: AlgebraElem, side: str, symmetrize: bool) -> FMatrix:
-    mat = rho_matrix(f) if side == "left" else lambda_matrix(f)
+    mat = side_matrix(f, side)
     if not symmetrize:
         return mat
     n = mat.rows
@@ -178,7 +176,6 @@ def _mulmuley_matrix(f: AlgebraElem, side: str, symmetrize: bool) -> FMatrix:
 def mulmuley_charpoly(f: AlgebraElem, side: str = "left",
                       symmetrize: bool = True) -> XCharPoly:
     """Symbolic-x characteristic polynomial of X*M for the generator f."""
-    check_side(side)
     return charpoly_xm(_mulmuley_matrix(f, side, symmetrize))
 
 
@@ -194,8 +191,7 @@ def _mulmuley_dim(f: AlgebraElem, side: str, symmetrize: bool, min_order, nodes)
     can only raise the valuation, so the least one over the nodes is the
     best available.
     """
-    check_side(side)
-    mat = rho_matrix(f) if side == "left" else lambda_matrix(f)
+    mat = side_matrix(f, side)
     n = mat.rows
     W = n * n // (2 if symmetrize else 4)
     factors = (mat, mat.transpose()) if symmetrize else (mat,)

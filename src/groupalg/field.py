@@ -31,8 +31,9 @@ _DOT_BLOCK = 1 << 22          # cap on temporary elements in a blocked dot
 
 
 def _ret(x):
-    """Collapse 0-d arrays back to plain ints so scalars round-trip."""
-    if isinstance(x, np.ndarray) and x.ndim == 0:
+    """Collapse 0-d results (0-d arrays and numpy scalars) to plain ints so
+    scalars round-trip."""
+    if x.ndim == 0:
         return int(x)
     return x
 
@@ -332,7 +333,7 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.m == 1:
             return _ret((a * b) % self.p)
-        return _ret(np.asarray(self._exp[self._log[a] + self._log[b]]))
+        return _ret(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -341,8 +342,8 @@ class Field:
         if self._inv_table is not None:
             return _ret(self._inv_table[a])
         p = self.p  # large prime field, elementwise exact pow
-        out = np.asarray(np.frompyfunc(lambda v: pow(int(v), p - 2, p), 1, 1)(a))
-        return _ret(out.astype(np.int64))
+        return _ret(np.asarray(np.frompyfunc(lambda v: pow(int(v), p - 2, p), 1, 1)(a),
+                               dtype=np.int64))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -357,8 +358,8 @@ class Field:
             t = self._exp[(self._log[a] * (e % (self.q - 1))) % (self.q - 1)]
             return _ret(np.where(a == 0, 0, t))
         p = self.p
-        out = np.asarray(np.frompyfunc(lambda v: pow(int(v), e, p), 1, 1)(a))
-        return _ret(out.astype(np.int64))
+        return _ret(np.asarray(np.frompyfunc(lambda v: pow(int(v), e, p), 1, 1)(a),
+                               dtype=np.int64))
 
     def sum(self, a, axis=None):
         """Field sum along an axis (axis=None sums everything): one integer
@@ -367,15 +368,15 @@ class Field:
         a = np.asarray(a, dtype=np.int64)
         if self.m == 1:
             # (p-1) * a.size stays well inside int64 at desk scale
-            return _ret(np.asarray(a.sum(axis=axis) % self.p))
+            return _ret(a.sum(axis=axis) % self.p)
         if self.p == 2:
-            return _ret(np.asarray(np.bitwise_xor.reduce(a, axis=axis)))
+            return _ret(np.bitwise_xor.reduce(a, axis=axis))
         d = self._digits(a)
         if axis is None:
             s = d.reshape(-1, self.m).sum(axis=0) % self.p
         else:
             s = d.sum(axis=axis % a.ndim) % self.p
-        return _ret(np.asarray(s @ self._pow_vec))
+        return _ret(s @ self._pow_vec)
 
     def dot(self, a, b):
         """Exact product a @ b of 1-d or 2-d operands, with numpy's `@` shapes.
@@ -392,7 +393,7 @@ class Field:
             raise ValueError(f"dot shape mismatch: {a.shape} @ {b.shape}")
         if self.m == 1 and inner * (self.p - 1) ** 2 < 1 << 63:
             # inner products of residues < p sum to less than 2^63: exact in int64
-            return _ret(np.asarray((a @ b) % self.p))
+            return _ret((a @ b) % self.p)
         # otherwise sum reduced products, at most _DOT_BLOCK of them at a time
         if a.ndim == 1:
             if b.ndim == 1 or b.size <= _DOT_BLOCK:

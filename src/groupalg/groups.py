@@ -23,6 +23,12 @@ ORDER_CAP = 10_000  # dense tables and cubic scans stay desk-scale
 _MAX_VIOLATIONS = 25  # messages kept per report; the total count stays exact
 
 
+def _check_order(n: int) -> None:
+    """Refuse a group order above ORDER_CAP before its n x n table exists."""
+    if n > ORDER_CAP:
+        raise SpecError(f"group order {n} exceeds the cap {ORDER_CAP}")
+
+
 @dataclass
 class ValidationReport:
     level: str
@@ -83,18 +89,16 @@ def validate_table(mul, level: str = "fast") -> ValidationReport:
 
 
 class Group:
-    """Finite group of order n with a dense multiplication table."""
+    """Finite group of order n: mul[i, j] indexes g_i g_j, inv[i] indexes g_i^{-1}."""
 
-    __slots__ = ("n", "labels", "mul", "inv", "name",
-                 "_mcayley", "_rtrans", "_commutative")
+    __slots__ = ("n", "labels", "mul", "inv", "name", "_commutative")
 
     def __init__(self, labels, mul, name: str):
         mul = np.asarray(mul, dtype=np.int64)
         n = mul.shape[0] if mul.ndim == 2 else 0
         if mul.ndim != 2 or mul.shape != (n, n) or n < 1:
             raise SpecError(f"multiplication table must be square, got {mul.shape}")
-        if n > ORDER_CAP:
-            raise SpecError(f"group order {n} exceeds the cap {ORDER_CAP}")
+        _check_order(n)
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise SpecError(f"expected {n} labels, got {len(labels)}")
@@ -106,23 +110,7 @@ class Group:
         self.mul = mul
         self.name = name
         self.inv = np.argmax(mul == 0, axis=1)
-        self._mcayley = None
-        self._rtrans = None
         self._commutative = None
-
-    # -- cached derived tables --
-
-    def modified_cayley(self) -> np.ndarray:
-        """Table T with T[i][j] = index of g_i^{-1} g_j (identity diagonal)."""
-        if self._mcayley is None:
-            self._mcayley = self.mul[self.inv, :]
-        return self._mcayley
-
-    def right_translation(self) -> np.ndarray:
-        """Table U with U[i][j] = index of g_j g_i^{-1} (rows of f*g_i)."""
-        if self._rtrans is None:
-            self._rtrans = self.mul[:, self.inv].T.copy()
-        return self._rtrans
 
     @property
     def is_commutative(self) -> bool:
@@ -147,6 +135,7 @@ def validate_group(g: Group, level: str = "fast") -> ValidationReport:
 def _cyclic(n: int) -> Group:
     if n < 1:
         raise SpecError(f"cyclic group order must be >= 1, got {n}")
+    _check_order(n)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
@@ -157,6 +146,7 @@ def _dihedral(n: int) -> Group:
     # order 2n: index = flip*n + rot; (a,i)(b,j) = (a xor b, (i*(-1)^b + j) mod n)
     if n < 2:
         raise SpecError(f"dihedral parameter must be >= 2, got {n}")
+    _check_order(2 * n)
     flips = np.arange(2 * n) // n
     rots = np.arange(2 * n) % n
     a, i = flips[:, None], rots[:, None]
@@ -189,8 +179,7 @@ def _perm_label(p) -> str:
 
 def _product_of(ga: Group, gb: Group) -> Group:
     n = ga.n * gb.n
-    if n > ORDER_CAP:
-        raise SpecError(f"group order {n} exceeds the cap {ORDER_CAP}")
+    _check_order(n)
     flat = np.arange(n)
     ia = flat % ga.n
     jb = flat // ga.n
@@ -262,6 +251,7 @@ def group_from_cayley_text(text: str, name: str) -> Group:
         raise SpecError(f"bad group size line {lines[0]!r}") from None
     if n < 1:
         raise SpecError(f"group size must be >= 1, got {n}")
+    _check_order(n)
     labels = lines[1].split()
     if len(labels) != n:
         raise SpecError(f"expected {n} labels, got {len(labels)}")

@@ -6,6 +6,10 @@ vector by it multiplies the element by f on the right.  The left-regular
 matrix does the same for f * g_i.  Right multiplication maps products to
 matrix products in order; left multiplication reverses the order.
 
+Both matrices are read off one gather B = f[mul], B[i, j] = f(g_i g_j):
+the right-regular matrix is B[inv] (entry f(g_i^{-1} g_j)) and the
+left-regular one is B^T[inv] (entry f(g_j g_i^{-1})).
+
 Stacking the matrices of several generators on top of each other gives a
 matrix whose row space is the one- or two-sided span, so its rank is the
 dimension of the ideal the generators produce.
@@ -26,12 +30,18 @@ def check_side(side: str) -> str:
 
 def rho_matrix(f: AlgebraElem) -> FMatrix:
     """Matrix of right multiplication by f; row i is g_i * f."""
-    return FMatrix(f.field, f.coeffs[f.group.modified_cayley()], validate=False)
+    return FMatrix(f.field, f.coeffs[f.group.mul][f.group.inv], validate=False)
 
 
 def lambda_matrix(f: AlgebraElem) -> FMatrix:
     """Matrix of left multiplication by f; row i is f * g_i."""
-    return FMatrix(f.field, f.coeffs[f.group.right_translation()], validate=False)
+    return FMatrix(f.field, f.coeffs[f.group.mul].T[f.group.inv], validate=False)
+
+
+def side_matrix(f: AlgebraElem, side: str) -> FMatrix:
+    """The matrix whose row space is f's ideal on `side`: rho(f) spans the
+    left ideal A*f, lambda(f) the right ideal f*A."""
+    return rho_matrix(f) if check_side(side) == "left" else lambda_matrix(f)
 
 
 def stack(generators, side: str = "left") -> FMatrix:
@@ -40,11 +50,9 @@ def stack(generators, side: str = "left") -> FMatrix:
     side='left' spans the left ideal sum A*f_j (right-regular matrices);
     side='right' spans the right ideal sum f_j*A (left-regular matrices).
     """
-    check_side(side)
     gens = list(generators)
     if not gens:
         raise SpecError("need at least one generator")
     for g in gens[1:]:
         _check_context(gens[0], g)
-    build = rho_matrix if side == "left" else lambda_matrix
-    return stack_matrices([build(f) for f in gens])
+    return stack_matrices([side_matrix(f, side) for f in gens])

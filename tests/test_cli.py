@@ -134,6 +134,15 @@ def test_dim_charpoly_bound_and_bound_alias(capsys):
     assert json.loads(out2)["k"] == 3
 
 
+def test_bound_reports_dim_when_the_bounds_meet(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--group", "cyclic:4", "--field", "gf:3",
+                           "--elem", "1:1,2:1", "--json")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["k"], rec["lower"], rec["upper"]) == (1, 3, 3)
+    assert rec["exact"] is True and rec["dim"] == 3
+
+
 def test_json_output_is_byte_stable(capsys):
     argv = ["dim", "--group", "cyclic:6", "--field", "gf:2",
             "--elem", "1:1,4:1", "--method", "mulmuley-random",

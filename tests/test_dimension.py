@@ -88,6 +88,16 @@ def test_dim_bound_idempotent_is_exact():
     assert dim_ideal(_left(e)) == 3
 
 
+def test_dim_bound_is_exact_when_the_bounds_meet():
+    # 1 + g on C_4 over GF(3): charpoly valuation k = 1, so [n-k, n-1] = [3, 3]
+    f, g = _ctx("gf:3", "cyclic:4")
+    a = AlgebraElem(f, g, (1, 1, 0, 0))
+    assert not a.is_idempotent()
+    b = dim_bound_charpoly(a)
+    assert (b.lower, b.upper, b.exact, b.k) == (3, 3, True, 1)
+    assert dim_ideal(_left(a)) == 3
+
+
 def test_dim_bound_brackets_dim():
     rng = random.Random(42)
     for fspec, gspec in (("gf:2", "symmetric:3"), ("gf:5", "dihedral:4"),

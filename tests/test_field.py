@@ -268,6 +268,19 @@ def test_pow():
         assert f.pow(0, 3) == 0
 
 
+def test_scalar_results_are_plain_ints():
+    # numpy integer scalars (np.int64) must not leak out of scalar arithmetic
+    for spec in ("gf:5", "gf:2^2", "gf:3^2", "gf:2147483647"):
+        f = parse_field_spec(spec)
+        a, b = 1, f.q - 1
+        vec = np.array([a, b, 1], dtype=np.int64)
+        results = {"add": f.add(a, b), "sub": f.sub(a, b), "neg": f.neg(a),
+                   "mul": f.mul(a, b), "inv": f.inv(b), "div": f.div(a, b),
+                   "pow": f.pow(b, 3), "sum": f.sum(vec), "dot": f.dot(vec, vec)}
+        for name, got in results.items():
+            assert type(got) is int, (spec, name, type(got))
+
+
 def test_zero_division():
     f = make_field(5)
     with pytest.raises(ZeroDivisionError):

@@ -1,10 +1,18 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from groupalg.algebra import AlgebraElem, random_element
 from groupalg.errors import SpecError
+from groupalg.field import parse_field_spec
 from groupalg.groups import Group, cayley_to_text, closure_from_generators, \
     compose_perms, group_from_cayley_text, load_cayley_file, load_perm_file, \
     make_group, save_cayley_file, validate_group, validate_table
+from groupalg.representation import lambda_matrix, rho_matrix
+
+import oracles
 
 # order-5 Latin square with identity and two-sided inverses that is not
 # associative: (g1 g2) g2 = g4 but g1 (g2 g2) = g1
@@ -62,20 +70,26 @@ def test_compose_perms_is_left_to_right():
     assert compose_perms(q, p) == (2, 0, 1)
 
 
-def test_derived_tables():
-    for spec in ("cyclic:5", "dihedral:3", "symmetric:3"):
+def test_regular_matrices_and_products_read_mul_and_inv():
+    # rho(f), lambda(f) and a*b are gathers through mul and inv alone; check
+    # them against the oracle's triple-loop convolution
+    rng = random.Random(91)
+    for spec in ("cyclic:5", "dihedral:3", "symmetric:3", "product:symmetric:3,cyclic:2"):
         g = make_group(spec)
-        mc = g.modified_cayley()
-        rt = g.right_translation()
-        assert (np.diag(mc) == 0).all()
-        assert (mc[0] == np.arange(g.n)).all()
-        assert (np.diag(rt) == 0).all()
-        for i in range(g.n):
-            for j in range(g.n):
-                assert mc[i, j] == g.mul[g.inv[i], j]
-                assert rt[i, j] == g.mul[j, g.inv[i]]
-            assert sorted(mc[i]) == list(range(g.n))
-            assert sorted(rt[i]) == list(range(g.n))
+        table = g.mul.tolist()
+        for fspec in ("gf:3", "gf:2^2"):
+            f = parse_field_spec(fspec)
+            for _ in range(3):
+                a = random_element(f, g, rng)
+                b = random_element(f, g, rng)
+                x = a.coeffs.tolist()
+                basis = [AlgebraElem.basis(f, g, i).coeffs.tolist() for i in range(g.n)]
+                assert rho_matrix(a).data.tolist() == \
+                    [oracles.convolve(f.q, table, e, x) for e in basis], (spec, fspec)
+                assert lambda_matrix(a).data.tolist() == \
+                    [oracles.convolve(f.q, table, x, e) for e in basis], (spec, fspec)
+                assert (a * b).coeffs.tolist() == \
+                    oracles.convolve(f.q, table, x, b.coeffs.tolist()), (spec, fspec)
 
 
 def test_validate_table_full_catches_nonassociative():
@@ -208,6 +222,22 @@ def test_order_cap():
     with pytest.raises(SpecError):
         make_group("symmetric:9")
     assert make_group("cyclic:10000").n == 10000
+
+
+def test_order_cap_refuses_before_allocating():
+    # the n x n table of cyclic:10001 alone would be 763 MiB
+    for spec in ("cyclic:10001", "dihedral:5001", "product:cyclic:101,cyclic:100"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="exceeds the cap"):
+                make_group(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (spec, peak)
+    text = "10001\n" + " ".join(["x"] * 10001) + "\n" + "1\n" * 10001
+    with pytest.raises(SpecError, match="exceeds the cap"):
+        group_from_cayley_text(text, "big")
 
 
 def test_make_group_errors():
