@@ -186,16 +186,17 @@ def _mulmuley_dim(f: AlgebraElem, side: str, symmetrize: bool, min_order, nodes)
     doubled X*M, or X_1 F itself when symmetrize is False (the commutative
     shortcut).  Its z-coefficients have x-exponents in a window of width
     W = n^2 // 2, or n^2 // 4 for X_1 F (principal minors, exponents sum S),
-    so the nodes must be nonzero: they lie in the smallest extension with at
-    least min_order(W) elements and nodes(ext, W) lists them.  Specializing x
+    so the nodes must be nonzero: they lie in ext = f.field.extension(min_order(W)),
+    chosen before F is built, and nodes(ext, W) lists them.  Specializing x
     can only raise the valuation, so the least one over the nodes is the
     best available.
     """
-    mat = side_matrix(f, side)
-    n = mat.rows
+    n = f.group.n
     W = n * n // (2 if symmetrize else 4)
+    ext = f.field.extension(min_order(W))
+    mat = side_matrix(f, side)
     factors = (mat, mat.transpose()) if symmetrize else (mat,)
-    _, vals = xm_charpoly_values(factors, min_order(W), lambda ext: nodes(ext, W))
+    vals = xm_charpoly_values(factors, ext, nodes(ext, W))
     return n - min(int(np.flatnonzero(v)[0]) for v in vals)
 
 

@@ -12,18 +12,21 @@ like numpy ufuncs, and are exact.  There is no floating point anywhere.
 
 Extension fields (m > 1) are backed by discrete log/antilog tables, so their
 order is capped at 2**20.  Prime fields have no such cap beyond int64
-safety.
+safety.  Field.extension picks every extension that evaluation nodes live in
+(Mulmuley's routes and charpoly_xm) and refuses one past the cap with
+DomainError, the CLI's exit 3, before any table is built.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import DomainError, SpecError
 
-EXT_ORDER_LIMIT = 1 << 20    # extension fields need full log/exp tables
+_EXT_ORDER_LIMIT = 1 << 20   # extension fields need full log/exp tables
 _DIGIT_TABLE_LIMIT = 1 << 16  # precompute digit decompositions up to this order
 _PRIME_TABLE_LIMIT = 1 << 16  # inverse tables for prime fields
 _MAX_PRIME = (1 << 31) - 1    # keeps a*b exact in int64
@@ -157,16 +160,10 @@ def _default_modulus(p: int, m: int) -> tuple:
     """
     if m == 1:
         return (0, 1)
-    for code in range(p ** m):
-        # decode with c_0 as the most significant position so ascending
-        # code order is ascending lex order on (c_0, ..., c_{m-1})
-        digits = []
-        rest = code
-        for _ in range(m):
-            digits.append(rest % p)
-            rest //= p
-        coeffs = tuple(reversed(digits)) + (1,)
-        if coeffs[0] != 0 and _is_irreducible(coeffs, p):
+    # product varies the last position fastest: lex order, c_0 != 0 only
+    for head in itertools.product(range(1, p), *[range(p)] * (m - 1)):
+        coeffs = head + (1,)
+        if _is_irreducible(coeffs, p):
             return coeffs
     raise SpecError(f"no irreducible polynomial of degree {m} over F_{p}")  # unreachable
 
@@ -186,7 +183,7 @@ class Field:
             raise SpecError(f"prime {p} exceeds the supported limit {_MAX_PRIME}")
         if not isinstance(m, int) or m < 1:
             raise SpecError(f"extension degree must be a positive integer, got {m!r}")
-        if m > 1 and p ** m > EXT_ORDER_LIMIT:
+        if m > 1 and p ** m > _EXT_ORDER_LIMIT:
             raise SpecError(
                 f"extension field order {p}^{m} exceeds the table limit 2^20")
         if modulus is None:
@@ -209,14 +206,13 @@ class Field:
         self.modulus = modulus
         self._pow_vec = p ** np.arange(m, dtype=np.int64)
         self._inv_table = None
-        self._neg_table = None
         self._digit_table = None
         if m == 1:
             if p <= _PRIME_TABLE_LIMIT:
                 self._inv_table = self._build_prime_inv()
         else:
             self._build_ext_tables()
-            if self.q <= _DIGIT_TABLE_LIMIT:
+            if p > 2 and self.q <= _DIGIT_TABLE_LIMIT:  # GF(2^m) reads no digits
                 self._digit_table = self._digits_raw(np.arange(self.q, dtype=np.int64))
 
     # -- construction helpers --
@@ -242,27 +238,23 @@ class Field:
                 break
         if gen is None:
             raise SpecError("no primitive element found")  # unreachable
-        # antilog table in digit form, built in blocks: a block of successive
-        # powers, then one matmul by the matrix of multiplication by gen^B
-        block = min(1024, q - 1)
+        # antilog table in digit form, built by doubling: mat multiplies by
+        # gen^k, so the first k powers times mat are the next k; then mat is
+        # squared.  Entries stay below m * (p-1)^2 < 2^63, exact in int64.
+        mat = np.zeros((m, m), dtype=np.int64)  # row i = x^i * gen mod f
+        row = gen
+        for i in range(m):
+            mat[i, :len(row)] = row
+            row = _pmulmod((0, 1), row, f, p)
         digits = np.zeros((q - 1, m), dtype=np.int64)
-        acc = (1,)
-        for i in range(block):
-            digits[i, :len(acc)] = acc
-            acc = _pmulmod(acc, gen, f, p)
-        if q - 1 > block:
-            g_block = _ppowmod(gen, block, f, p)
-            mul_mat = np.zeros((m, m), dtype=np.int64)  # row i = x^i * g_block mod f
-            row = g_block
-            for i in range(m):
-                mul_mat[i, :len(row)] = row
-                row = _pmulmod((0, 1), row, f, p) if i + 1 < m else row
-        start = block
-        while start < q - 1:
-            step = min(block, q - 1 - start)
-            prev = digits[start - block:start - block + step]
-            digits[start:start + step] = (prev @ mul_mat) % p
-            start += step
+        digits[0, 0] = 1
+        k = 1
+        while k < q - 1:
+            step = min(k, q - 1 - k)
+            out = digits[k:k + step]
+            np.remainder(np.matmul(digits[:step], mat, out=out), p, out=out)
+            mat = (mat @ mat) % p
+            k += step
         exp = digits @ self._pow_vec
         # log[0] = 2(q-1) and an antilog table of two periods then zeros make
         # mul one gather: a log sum of nonzero elements is below 2(q-1), and
@@ -273,9 +265,6 @@ class Field:
         inv[exp] = exp[(q - 1 - np.arange(q - 1)) % (q - 1)]
         self._exp = np.concatenate([exp, exp, np.zeros(2 * (q - 1) + 1, dtype=np.int64)])
         self._log, self._inv_table = log, inv
-        if p > 2:
-            d = self._digits_raw(np.arange(q, dtype=np.int64))
-            self._neg_table = ((p - d) % p) @ self._pow_vec
 
     def _enc_to_poly(self, enc: int) -> tuple:
         out = []
@@ -316,7 +305,8 @@ class Field:
             return _ret(a.copy())
         if self.m == 1:
             return _ret((self.p - a) % self.p)
-        return _ret(self._neg_table[a])
+        # -1 = gen^((q-1)/2); log[0]'s sentinel shifts into the zero region
+        return _ret(self._exp[self._log[a] + (self.q - 1) // 2])
 
     def sub(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -408,6 +398,24 @@ class Field:
         for i in range(0, a.shape[0], step):
             out[i:i + step] = self.sum(self.mul(a[i:i + step], b), axis=1)
         return out
+
+    def extension(self, min_order: int) -> "Field":
+        """The smallest GF(q^t), t >= 1, with at least min_order elements.
+
+        Returns self when q >= min_order.  Raises DomainError, before any
+        table is built, when that extension is past the 2^20 table limit.
+        """
+        t = 1
+        while self.q ** t < min_order:
+            t += 1
+        if t == 1:
+            return self
+        if self.q ** t > _EXT_ORDER_LIMIT:
+            raise DomainError(
+                f"the nodes need a field with at least {min_order} elements; the smallest "
+                f"extension of {self!r} with that many has {self.p}^{self.m * t} elements, "
+                f"beyond the table limit 2^20")
+        return make_field(self.p, self.m * t)
 
     # -- encoding helpers --
 

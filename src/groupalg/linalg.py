@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .field import EXT_ORDER_LIMIT, Field, embedding, make_field
+from .field import Field, embedding
 
 class FMatrix:
     """A rows x cols matrix over a finite field."""
@@ -29,6 +29,8 @@ class FMatrix:
 
     def __init__(self, field: Field, data, validate: bool = True):
         self.field = field
+        # a private copy even when validate=False: adopting internal arrays saved no
+        # peak memory and slowed rank in a fresh process (malloc's heap trimming)
         arr = np.array(data, dtype=np.int64)
         if arr.ndim != 2:
             raise SpecError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
@@ -256,22 +258,20 @@ class FPoly:
                 return i
         return None
 
-    def add(self, other: "FPoly") -> "FPoly":
+    def _padded(self, other: "FPoly"):
+        """(field, a, b): both coefficient lists zero-padded to one length."""
         f = self._same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n, dtype=np.int64)
-        b = np.zeros(n, dtype=np.int64)
-        a[:len(self.coeffs)] = self.coeffs
-        b[:len(other.coeffs)] = other.coeffs
+        ab = np.zeros((2, max(len(self.coeffs), len(other.coeffs))), dtype=np.int64)
+        ab[0, :len(self.coeffs)] = self.coeffs
+        ab[1, :len(other.coeffs)] = other.coeffs
+        return f, ab[0], ab[1]
+
+    def add(self, other: "FPoly") -> "FPoly":
+        f, a, b = self._padded(other)
         return FPoly(f, np.atleast_1d(f.add(a, b)))
 
     def sub(self, other: "FPoly") -> "FPoly":
-        f = self._same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n, dtype=np.int64)
-        b = np.zeros(n, dtype=np.int64)
-        a[:len(self.coeffs)] = self.coeffs
-        b[:len(other.coeffs)] = other.coeffs
+        f, a, b = self._padded(other)
         return FPoly(f, np.atleast_1d(f.sub(a, b)))
 
     def mul(self, other: "FPoly") -> "FPoly":
@@ -453,33 +453,21 @@ class XCharPoly:
         return "\n".join(lines) + "\n"
 
 
-def xm_charpoly_values(factors, min_order: int, nodes):
+def xm_charpoly_values(factors, ext: Field, xs) -> np.ndarray:
     """Charpoly coefficients of the product of X . m over m in factors, at nodes x.
 
     X = diag(1, x, ..., x^{n-1}) scales the rows of each n x n factor, so one
     factor M gives X . M and two factors F, F^T give (X . F)(X . F^T).  The
-    nodes lie in the smallest extension F_{q^t} of the matrix field with at
-    least min_order elements; nodes(ext) lists them.  Raises DomainError,
-    before any node work, when that extension exceeds the 2^20-element table
-    limit of extension fields.
+    nodes xs lie in ext, an extension of the matrix field (Field.extension
+    picks it).
 
     Returns:
-        (ext, vals): the extension and vals[i], the low-to-high coefficients
-        (length n+1) at the i-th node.
+        vals: vals[i] holds the low-to-high coefficients (length n+1) at xs[i].
     """
     f = factors[0].field
     n = factors[0].rows
-    t = 1
-    while f.q ** t < min_order:
-        t += 1
-    if t > 1 and f.q ** t > EXT_ORDER_LIMIT:
-        raise DomainError(
-            f"the nodes need a field with at least {min_order} elements; the smallest "
-            f"extension of {f!r} with that many has {f.p}^{f.m * t} elements, "
-            f"beyond the table limit 2^20")
-    ext = f if t == 1 else make_field(f.p, f.m * t)
     mds = [embedding(f, ext)(m.data) for m in factors]
-    xs = np.asarray(nodes(ext), dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.int64)
     # row i holds 1, x_i, ..., x_i^{n-1}: the diagonal of X at node x_i
     xpow = np.ones((xs.size, n), dtype=np.int64)
     for j in range(1, n):
@@ -490,7 +478,7 @@ def xm_charpoly_values(factors, min_order: int, nodes):
         for md in mds[1:]:
             node = ext.dot(node, ext.mul(md, row[:, None]))
         vals[idx] = _charpoly_data(ext, node)
-    return ext, vals
+    return vals
 
 
 def charpoly_xm(mat: FMatrix) -> XCharPoly:
@@ -505,8 +493,9 @@ def charpoly_xm(mat: FMatrix) -> XCharPoly:
         raise SpecError(f"charpoly_xm needs a square matrix, got {mat.data.shape}")
     s = mat.rows
     D = s * (s - 1) // 2
-    xs = np.arange(D + 1, dtype=np.int64)
-    ext, vals = xm_charpoly_values((mat,), D + 2, lambda ext: xs)
+    ext = mat.field.extension(D + 2)
+    xs = ext.elements(D + 1)
+    vals = xm_charpoly_values((mat,), ext, xs)
     coeff_rows = _interp_many(ext, xs, vals.T.copy())
     zc = tuple(FPoly(ext, row) for row in coeff_rows)
     if zc[-1].coeffs != (1,):

@@ -21,6 +21,8 @@ ORACLE_MODULI = {
     125: (1, 0, 1, 1),    # x^3 + x^2 + 1 over F_5
     512: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),  # x^9 + x^8 + 1 over F_2
     2048: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),  # x^11 + x^9 + 1 over F_2
+    2187: (1, 0, 0, 0, 0, 1, 2, 1),  # x^7 + 2x^6 + x^5 + 1 over F_3
+    3125: (1, 0, 0, 0, 4, 1),  # x^5 + 4x^4 + 1 over F_5
 }
 
 
@@ -94,6 +96,27 @@ class OracleField:
                 return b
         raise AssertionError("no inverse found")
 
+
+
+def lex_first_irreducible(p: int, m: int) -> tuple:
+    """Monic irreducible of degree m over F_p, p prime, whose coefficient
+    list (c_0, ..., c_{m-1}) is lexicographically smallest, by trial division
+    by every monic polynomial of degree 1..m//2 (low-to-high tuples)."""
+    def rem_is_zero(a, b):  # b monic
+        a = list(a)
+        for top in range(len(a) - 1, len(b) - 2, -1):
+            c = a[top]
+            for i, y in enumerate(b):
+                a[top - len(b) + 1 + i] = (a[top - len(b) + 1 + i] - c * y) % p
+        return not any(a)
+
+    divisors = [low + (1,) for deg in range(1, m // 2 + 1)
+                for low in itertools.product(range(p), repeat=deg)]
+    for low in itertools.product(range(p), repeat=m):
+        cand = low + (1,)
+        if not any(rem_is_zero(cand, d) for d in divisors):
+            return cand
+    raise AssertionError("no irreducible polynomial found")
 
 def poly_trim(c: list) -> list:
     c = list(c)

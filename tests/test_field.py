@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from groupalg import field as field_module
-from groupalg.errors import SpecError
+from groupalg.errors import DomainError, SpecError
 from groupalg.field import Field, embedding, format_field_spec, make_field, \
     parse_field_spec
 
@@ -149,7 +150,7 @@ def test_sum_matches_repeated_add():
 
 
 def test_sum_over_gf2m_matches_repeated_add():
-    # GF(2^17) is above the digit-table limit
+    # GF(2^m) sums are one XOR reduction at every size, GF(2^17) included
     rng = random.Random(8)
     for spec in ("gf:2^2", "gf:2^11", "gf:2^17"):
         f = parse_field_spec(spec)
@@ -337,15 +338,51 @@ def test_identity_embedding():
 
 
 def test_larger_extension_tables():
-    # exercises the block-built log/antilog path well past the small cases
-    f = make_field(2, 11)
+    # antilogs well past the first 1024 powers, against the oracle: a product
+    # by a fixed c reads every log entry and every antilog entry
     rng = random.Random(3)
-    o = OracleField(8)
-    for _ in range(50):
-        a = rng.randrange(f.q)
-        b = rng.randrange(f.q)
-        assert f.mul(a, b) == f.mul(b, a)
-        if a:
-            assert f.mul(a, f.inv(a)) == 1
-        assert f.mul(a, f.add(b, 1)) == f.add(f.mul(a, b), a)
-    assert o.q == 8  # keep the oracle import honest
+    for q in (2048, 2187, 3125):
+        o = OracleField(q)
+        f = make_field(o.p, o.m)
+        assert f.modulus == o.modulus
+        xs = np.arange(q, dtype=np.int64)
+        c = q - 2
+        assert f.mul(xs, c).tolist() == [o.mul(a, c) for a in range(q)], q
+        assert f.add(xs, c).tolist() == [o.add(a, c) for a in range(q)], q
+        assert f.neg(xs).tolist() == [o.neg(a) for a in range(q)], q
+        assert all(o.mul(a, b) == 1 for a, b in enumerate(f.inv(xs[1:]).tolist(), 1)), q
+        for _ in range(200):
+            a, b = rng.randrange(q), rng.randrange(q)
+            assert (f.mul(a, b), f.sub(a, b)) == (o.mul(a, b), o.sub(a, b)), (q, a, b)
+
+
+def test_default_modulus_is_the_plain_lex_first_irreducible():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        m = 2
+        while p ** m <= 1 << 10:
+            assert field_module._default_modulus(p, m) == oracles.lex_first_irreducible(p, m), \
+                (p, m)
+            m += 1
+
+
+def test_extension_is_the_smallest_field_with_enough_elements():
+    f4 = make_field(2, 2)
+    assert f4.extension(1) is f4 and f4.extension(4) is f4
+    assert f4.extension(5) == make_field(2, 4)
+    assert make_field(3).extension(10) == make_field(3, 3)
+    assert make_field(2).extension(9218) == make_field(2, 14)
+    big = make_field((1 << 31) - 1)
+    assert big.extension(1 << 30) is big
+
+
+def test_extension_past_the_table_limit_refuses_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"2\^21 elements, beyond the table limit 2\^20"):
+            make_field(2).extension((1 << 20) + 1)
+        with pytest.raises(DomainError, match=r"3\^14 elements"):
+            make_field(3, 7).extension(3 ** 7 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -254,6 +254,17 @@ def test_charpoly_xm_reads_rank_of_symmetrized():
             assert xc.size - xc.k == 2 * r, spec
 
 
+
+def test_fmatrix_never_aliases_its_input():
+    f = make_field(5)
+    data = np.arange(6, dtype=np.int64).reshape(2, 3) % 5
+    assert not np.shares_memory(FMatrix(f, data, validate=False).data, data)
+    m = FMatrix(f, data)
+    assert not np.shares_memory(m.data, data)
+    assert not np.shares_memory(m.copy().data, m.data)
+    assert not np.shares_memory(m.transpose().data, m.data)
+    assert m.transpose().data.tolist() == data.T.tolist()
+
 def test_halved_node_charpolys_match_the_doubled_matrix():
     # M = [[0, A], [A^T, 0]] and C = (X_1 A)(X_1 A^T) give det(zI - X M) = det(z^2 I - x^n C),
     # and n minus the least valuation over W+1 = n^2 // 2 + 1 nonzero nodes is rank A
@@ -268,8 +279,9 @@ def test_halved_node_charpolys_match_the_doubled_matrix():
         m[:4, 4:] = a.data
         m[4:, :4] = a.data.T
         nodes = lambda ext: ext.elements(10)[1:]
-        ext, half = xm_charpoly_values((a, a.transpose()), 10, nodes)
-        _, full = xm_charpoly_values((FMatrix(a.field, m),), 10, nodes)
+        ext = a.field.extension(10)
+        half = xm_charpoly_values((a, a.transpose()), ext, nodes(ext))
+        full = xm_charpoly_values((FMatrix(a.field, m),), ext, nodes(ext))
         for x0, h, d in zip(nodes(ext).tolist(), half, full):
             xn = ext.pow(x0, 4)
             assert not d[1::2].any()
