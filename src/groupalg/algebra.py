@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .field import Field
+from .field import _DOT_BLOCK, Field
 from .groups import Group
 
 
@@ -87,9 +87,11 @@ class AlgebraElem:
         if not isinstance(other, AlgebraElem):
             return NotImplemented
         _check_context(self, other)
-        # a*b = a . rho(b) = a[inv] . b[mul]: coefficient k sums a(g_i^-1) b(g_i g_k)
-        g = self.group
-        prod = self.field.dot(self.coeffs[g.inv], other.coeffs[g.mul])
+        # a*b = a[inv] . b[mul], k-th entry sum_i a(g_i^-1) b(g_i g_k), in column blocks
+        g, a, b = self.group, self.coeffs[self.group.inv], other.coeffs
+        step = _DOT_BLOCK // g.n
+        prod = self.field.dot(a, b[g.mul]) if step >= g.n else np.concatenate(
+            [self.field.dot(a, b[g.mul[:, c:c + step]]) for c in range(0, g.n, step)])
         return AlgebraElem(self.field, self.group, prod, validate=False)
 
     def scale(self, c) -> "AlgebraElem":

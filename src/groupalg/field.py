@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, SpecError
 
 _EXT_ORDER_LIMIT = 1 << 20   # extension fields need full log/exp tables
-_DIGIT_TABLE_LIMIT = 1 << 16  # precompute digit decompositions up to this order
+_DIGIT_TABLE_LIMIT = 1 << 16  # digit forms of all q elements are kept up to this order
 _PRIME_TABLE_LIMIT = 1 << 16  # inverse tables for prime fields
 _MAX_PRIME = (1 << 31) - 1    # keeps a*b exact in int64
 _DOT_BLOCK = 1 << 22          # cap on temporary elements in a blocked dot
@@ -232,30 +232,33 @@ class Field:
         factors = _prime_factors(q - 1)
         gen = None
         for enc in range(2, q):
-            cand = self._enc_to_poly(enc)
+            cand = self.to_coeffs(enc)
             if all(_ppowmod(cand, (q - 1) // l, f, p) != (1,) for l in factors):
                 gen = cand
                 break
         if gen is None:
             raise SpecError("no primitive element found")  # unreachable
-        # antilog table in digit form, built by doubling: mat multiplies by
-        # gen^k, so the first k powers times mat are the next k; then mat is
-        # squared.  Entries stay below m * (p-1)^2 < 2^63, exact in int64.
+        # antilog table by doubling: mat multiplies by gen^k, so the first k
+        # powers times mat are the next k; then mat is squared.  In digit form
+        # entries stay below m * (p-1)^2 < 2^63, exact in int64.
         mat = np.zeros((m, m), dtype=np.int64)  # row i = x^i * gen mod f
         row = gen
         for i in range(m):
             mat[i, :len(row)] = row
             row = _pmulmod((0, 1), row, f, p)
-        digits = np.zeros((q - 1, m), dtype=np.int64)
-        digits[0, 0] = 1
-        k = 1
-        while k < q - 1:
-            step = min(k, q - 1 - k)
-            out = digits[k:k + step]
-            np.remainder(np.matmul(digits[:step], mat, out=out), p, out=out)
-            mat = (mat @ mat) % p
-            k += step
-        exp = digits @ self._pow_vec
+        if p == 2 and q > _DIGIT_TABLE_LIMIT:
+            exp = self._xor_antilog(mat @ self._pow_vec)
+        else:
+            digits = np.zeros((q - 1, m), dtype=np.int64)
+            digits[0, 0] = 1
+            k = 1
+            while k < q - 1:
+                step = min(k, q - 1 - k)
+                out = digits[k:k + step]
+                np.remainder(np.matmul(digits[:step], mat, out=out), p, out=out)
+                mat = (mat @ mat) % p
+                k += step
+            exp = digits @ self._pow_vec
         # log[0] = 2(q-1) and an antilog table of two periods then zeros make
         # mul one gather: a log sum of nonzero elements is below 2(q-1), and
         # one with a zero lands in [2(q-1), 4(q-1)], where the table holds 0
@@ -266,12 +269,19 @@ class Field:
         self._exp = np.concatenate([exp, exp, np.zeros(2 * (q - 1) + 1, dtype=np.int64)])
         self._log, self._inv_table = log, inv
 
-    def _enc_to_poly(self, enc: int) -> tuple:
-        out = []
-        while enc:
-            out.append(enc % self.p)
-            enc //= self.p
-        return tuple(out)
+    def _xor_antilog(self, img):
+        """The doubling above for large GF(2^m), with no digit form: a * gen^k is
+        GF(2)-linear in a, the XOR of the images img[i] of x^i over a's set bits."""
+        def times(a, img):
+            out = np.zeros_like(a)
+            for i, v in enumerate(img):
+                out ^= ((a >> i) & 1) * v
+            return out
+        exp = np.ones(1, dtype=np.int64)
+        while exp.size < self.q - 1:
+            exp = np.concatenate([exp, times(exp[:self.q - 1 - exp.size], img)])
+            img = times(img, img)
+        return exp
 
     def _digits_raw(self, a):
         # base-p digit planes, trailing axis of length m

@@ -2,9 +2,9 @@
 
 Identifying F[G] with F^n through the coefficient map turns an ideal into a
 linear [n, k] code over F.  The generator matrix is the reduced row echelon
-basis of the stacked representation matrices, so equal ideals always yield
-byte-identical exports, and the parity-check matrix rows span the kernel of
-the generator matrix.
+basis of the ideal, read off its gcd over cyclic:n (dimension.cyclic_code_rref)
+and off the stacked representation matrices otherwise, so equal ideals always
+yield byte-identical exports; the parity rows come from the same RREF.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimension import IdealSpec
+from .dimension import IdealSpec, cyclic_code_rref, cyclic_gcd
 from .errors import BudgetExceededError, DomainError, SpecError
 from .field import Field
-from .linalg import FMatrix, kernel_basis, rref
+from .linalg import FMatrix, RrefResult, _kernel_vectors, rref
 from .representation import stack
 
 DEFAULT_BUDGET = 1 << 20
@@ -36,16 +36,25 @@ class GroupCode:
 
 def build_code(spec: IdealSpec) -> GroupCode:
     """Code of the ideal; raises on the zero ideal (no code to build)."""
-    res = rref(stack(spec.generators, spec.side))
+    cyclic = cyclic_gcd(spec.generators)
+    if cyclic is not None and np.array_equal(cyclic[0], np.arange(spec.group.n)):
+        return _code(spec, cyclic_code_rref(spec.field, cyclic[1], spec.group.n))
+    return _build_code_rank(spec)
+
+
+def _build_code_rank(spec: IdealSpec) -> GroupCode:
+    return _code(spec, rref(stack(spec.generators, spec.side)))
+
+
+def _code(spec: IdealSpec, res: RrefResult) -> GroupCode:
+    """The code whose generator rows are the nonzero rows of an RREF of the ideal."""
     k = res.rank
     if k == 0:
         raise DomainError("zero ideal: all generators are zero, no code to build")
     field = spec.field
     n = spec.group.n
-    genmat = FMatrix(field, res.matrix.data[:k].copy(), validate=False)
-    kern = kernel_basis(genmat)
-    pdata = np.array(kern, dtype=np.int64) if kern else np.zeros((0, n), dtype=np.int64)
-    paritymat = FMatrix(field, pdata, validate=False)
+    genmat = FMatrix(field, res.matrix.data[:k], validate=False)
+    paritymat = FMatrix(field, _kernel_vectors(res, n), validate=False)
     return GroupCode(n=n, k=k, field=field, genmat=genmat, paritymat=paritymat, source=spec)
 
 

@@ -91,7 +91,7 @@ def validate_table(mul, level: str = "fast") -> ValidationReport:
 class Group:
     """Finite group of order n: mul[i, j] indexes g_i g_j, inv[i] indexes g_i^{-1}."""
 
-    __slots__ = ("n", "labels", "mul", "inv", "name", "_commutative")
+    __slots__ = ("n", "labels", "mul", "inv", "name", "_commutative", "_route")
 
     def __init__(self, labels, mul, name: str):
         mul = np.asarray(mul, dtype=np.int64)
@@ -111,6 +111,7 @@ class Group:
         self.name = name
         self.inv = np.argmax(mul == 0, axis=1)
         self._commutative = None
+        self._route = None  # polynomial route, detected on first use (dimension.route)
 
     @property
     def is_commutative(self) -> bool:

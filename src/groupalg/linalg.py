@@ -177,20 +177,20 @@ def rank(mat: FMatrix) -> int:
     return r
 
 
-def _kernel_vectors(res: RrefResult, cols: int) -> list:
-    """Kernel basis read off an RREF: one vector per free column among the first cols."""
+def _kernel_vectors(res: RrefResult, cols: int) -> np.ndarray:
+    """Kernel basis read off an RREF: one row per free column among the first cols."""
     pivots = list(res.pivots)
     free = np.setdiff1d(np.arange(cols), pivots)
     out = np.zeros((free.size, cols), dtype=np.int64)
     out[np.arange(free.size), free] = 1
     if pivots:
         out[:, pivots] = res.matrix.field.neg(res.matrix.data[:len(pivots)][:, free]).T
-    return list(out)
+    return out
 
 
 def kernel_basis(mat: FMatrix) -> list:
     """Basis of the right null space {v : mat . v = 0}, one vector per free column."""
-    return _kernel_vectors(rref(mat), mat.cols)
+    return list(_kernel_vectors(rref(mat), mat.cols))
 
 
 def solve(a: FMatrix, b) -> SolveResult | None:
@@ -212,10 +212,18 @@ def solve(a: FMatrix, b) -> SolveResult | None:
     for i, pc in enumerate(res.pivots):
         x[pc] = res.matrix.data[i, a.cols]
     # the first cols columns of the augmented RREF are exactly rref(a)
-    return SolveResult(x, _kernel_vectors(res, a.cols))
+    return SolveResult(x, list(_kernel_vectors(res, a.cols)))
 
 
 # -- polynomials --
+
+def _poly_mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of nonempty a and b (low-to-high), in O(len) memory."""
+    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
+    for i in np.flatnonzero(a):
+        out[i:i + b.size] = field.add(out[i:i + b.size], field.mul(b, int(a[i])))
+    return out
+
 
 class FPoly:
     """Dense univariate polynomial over a finite field.
@@ -278,11 +286,7 @@ class FPoly:
         f = self._same_field(other)
         if self.is_zero or other.is_zero:
             return FPoly.zero(f)
-        na, nb = len(self.coeffs), len(other.coeffs)
-        shifts = np.zeros((na, na + nb - 1), dtype=np.int64)  # row i: x^i * other
-        rows = np.arange(na)[:, None]
-        shifts[rows, rows + np.arange(nb)] = other.coeffs
-        return FPoly(f, f.dot(self.coeffs, shifts))
+        return FPoly(f, _poly_mul(f, np.array(self.coeffs), np.array(other.coeffs)))
 
     def scale(self, c) -> "FPoly":
         f = self.field

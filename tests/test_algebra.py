@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,3 +187,20 @@ def test_coeff_validation():
         AlgebraElem(f, g, (0, 1, 3, 0))
     with pytest.raises(SpecError):
         AlgebraElem(f, g, (0, 1))  # wrong length
+
+
+def test_product_past_the_dot_block_gathers_columns_in_blocks():
+    # rho(b) of cyclic:4096 is 4096^2 int64, 128 MiB; blocks stay near 32 MiB
+    f, g = make_field(2), make_group("cyclic:4096")
+    rng = np.random.default_rng(4096)
+    a = AlgebraElem(f, g, rng.integers(0, 2, 4096))
+    b = AlgebraElem(f, g, rng.integers(0, 2, 4096))
+    tracemalloc.start()
+    try:
+        prod = a * b
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+    full = np.convolve(a.coeffs, b.coeffs)
+    assert np.array_equal(prod.coeffs, (full[:4096] + np.append(full[4096:], 0)) % 2)

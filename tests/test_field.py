@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -386,3 +387,41 @@ def test_extension_past_the_table_limit_refuses_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# SHA-256 prefixes of the little-endian int64 bytes of _exp, _log and _inv_table, as
+# the digit matmul made them for every field before GF(2^m), q > 2^16, took XOR doubling
+EXT_TABLE_DIGESTS = {
+    "2^2": "18bf138960103319", "2^3": "299ad9eb35ee61b2", "2^4": "4f119db81506e035",
+    "2^5": "20177a83660f2e82", "2^6": "22e60b65c7cf237a", "2^7": "77a18fcc8bbcc910",
+    "2^8": "b97ec249ca9781ff", "2^9": "c7629064e3a40068", "2^10": "23b61d6a4627e110",
+    "2^11": "c5c078c0cc279b4e", "2^12": "a35ba3f04cc52393", "2^13": "aecc51a7d28ea8c0",
+    "2^14": "f35af9d65775d64e", "2^15": "556183f0b738b989", "2^16": "054e9f01adcafc25",
+    "2^17": "223875c537e1cadb", "2^18": "ee673182f26b971a", "2^19": "2215b833f389720d",
+    "2^20": "7ef426f1182d363d", "3^2": "883324bda5b2680c", "3^7": "c3dbdc6f0871625b",
+    "3^12": "60bb4dc414d3b493", "5^2": "23b31ff4f6244730", "5^8": "000f1758ac843767",
+    "7^3": "81e7be5bce5f494e", "7^7": "89b769e577175734", "31^4": "4665a3482cccc240",
+    "1021^2": "fa992eba234fa6d3",
+}
+
+
+def test_extension_tables_are_byte_stable():
+    for key, digest in EXT_TABLE_DIGESTS.items():
+        p, m = map(int, key.split("^"))
+        f = Field(p, m)  # uncached: the largest tables are dropped after use
+        h = hashlib.sha256()
+        for table in (f._exp, f._log, f._inv_table):
+            h.update(table.astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == digest, key
+
+
+def test_gf2_20_tables_build_without_a_digit_array():
+    # the digit form alone was (2^20 - 1) x 20 int64, 160 MiB
+    tracemalloc.start()
+    try:
+        f = Field(2, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20, peak
+    assert f.mul(f._exp[12345], f._exp[(1 << 20) - 1 - 12345]) == 1
