@@ -90,8 +90,9 @@ class AlgebraElem:
         # a*b = a[inv] . b[mul], k-th entry sum_i a(g_i^-1) b(g_i g_k), in column blocks
         g, a, b = self.group, self.coeffs[self.group.inv], other.coeffs
         step = _DOT_BLOCK // g.n
-        prod = self.field.dot(a, b[g.mul]) if step >= g.n else np.concatenate(
-            [self.field.dot(a, b[g.mul[:, c:c + step]]) for c in range(0, g.n, step)])
+        prod = np.empty(g.n, dtype=np.int64)
+        for c in range(0, g.n, step):
+            prod[c:c + step] = self.field.dot(a, b[g.mul[:, c:c + step]])
         return AlgebraElem(self.field, self.group, prod, validate=False)
 
     def scale(self, c) -> "AlgebraElem":

@@ -40,8 +40,8 @@ import numpy as np
 from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
 from .field import _prime_factors
-from .linalg import FMatrix, FPoly, RrefResult, XCharPoly, _poly_mul, charpoly, charpoly_xm, \
-    kernel_basis, rank, solve, xm_charpoly_values
+from .linalg import FMatrix, FPoly, XCharPoly, _cmul, _divmod, _gcd, _ideal_gcd, _poly_mul, \
+    _trim, charpoly, charpoly_xm, kernel_basis, rank, solve, xm_charpoly_values
 from .representation import check_side, rho_matrix, side_matrix, stack
 
 DEFAULT_SEED = 0
@@ -122,7 +122,7 @@ def _detect(g):
     return ("dihedral", np.concatenate([pw, g.mul[s[0], pw]])) if s.size else (None, None)
 
 
-def route(group):
+def _route(group):
     """('cyclic', order[k] = y^k), ('dihedral', order[flip*m + rot] = s^flip r^rot)
     or (None, None), read off the table on first use and cached on the group."""
     if group._route is None:
@@ -130,113 +130,49 @@ def route(group):
     return group._route
 
 
-def _trim(a):  # a copy without the leading zeros
-    return np.array(a[:np.flatnonzero(a)[-1] + 1] if a.any() else a[:0], dtype=np.int64)
-
-
-def _divmod(F, v, g):
-    """(q, r) with v = q g + r and deg r < deg g, for g monic; v is trimmed and reused."""
-    r = v
-    q = np.zeros(max(r.size - g.size + 1, 0), dtype=np.int64)
-    while r.size >= g.size:
-        sh = r.size - g.size
-        q[sh] = r[-1]
-        r[sh:] = F.sub(r[sh:], F.mul(g, int(r[-1])))
-        k = r.size - 1  # the top is now zero; drop it and the zeros below it
-        while k and not r[k - 1]:
-            k -= 1
-        r = r[:k]
-    return q, r
-
-
-def _cmul(F, a, b):
-    """a b mod y^n - 1 for two arrays of n coefficients."""
-    ab = _poly_mul(F, a, b)
-    return F.add(ab[:a.size], np.append(ab[a.size:], 0))
-
-
-def _gcd(F, a, b, cofactor: bool = False):
-    """(monic gcd(a, b), s), b nonzero; with cofactor, s a = gcd mod b, deg s < deg b."""
-    r0, r1 = _trim(a), _trim(b)
-    s0, s1 = np.eye(1, r1.size, dtype=np.int64)[0], np.zeros(r1.size, dtype=np.int64)
-    while r1.size:
-        c = F.inv(int(r1[-1]))
-        r1 = np.atleast_1d(F.mul(r1, c))
-        q, r = _divmod(F, r0, r1)
-        if cofactor:
-            s1 = F.mul(s1, c)
-            s0 = F.sub(s0, _poly_mul(F, q, s1)[:s0.size]) if q.size else s0
-        r0, r1, s0, s1 = r1, r, s1, s0
-    return r0, s0
-
-
-def ideal_gcd(F, polys, n: int, g=None):
-    """Monic gcd(polys..., g), for a monic g that is y^n - 1 when omitted."""
-    if g is None:
-        g = np.zeros(n + 1, dtype=np.int64)
-        g[0], g[n] = F.neg(1), 1
-    for v in polys:
-        g = _gcd(F, v, g)[0] if g.size > 1 else g
-    return g
-
-
-def cyclic_gcd(gens):
+def _cyclic_gcd(gens):
     """(order, g) with g the gcd of the generators' ideal over a cyclic group, else None."""
-    kind, order = route(gens[0].group)
+    kind, order = _route(gens[0].group)
     if kind != "cyclic":
         return None
-    return order, ideal_gcd(gens[0].field, [f.coeffs[order] for f in gens], order.size)
+    return order, _ideal_gcd(gens[0].field, [f.coeffs[order] for f in gens], order.size)
 
 
-def route_dim(spec):
+def _route_dim(spec):
     """The ideal's dimension by a polynomial route, or None when none applies."""
-    kind, order = route(spec.group)
+    kind, order = _route(spec.group)
     if kind == "cyclic":
-        return order.size + 1 - cyclic_gcd(spec.generators)[1].size
+        return order.size + 1 - _cyclic_gcd(spec.generators)[1].size
     F, m, f = spec.field, spec.group.n // 2, spec.generators[0]
     if kind != "dihedral" or len(spec.generators) > 1 or m % F.p == 0:
         return None
     v = (f.star() if spec.side == "right" else f).coeffs[order]
     f0, f1 = v[:m], v[m:]
     c0, c1 = (np.roll(h[::-1], 1) for h in (f0, f1))  # h*(y) = h(y^-1) mod y^m - 1
-    G = ideal_gcd(F, [F.sub(_cmul(F, f0, c0), _cmul(F, f1, c1))], m)  # of the determinant
+    G = _ideal_gcd(F, [F.sub(_cmul(F, f0, c0), _cmul(F, f1, c1))], m)  # of the determinant
     # common roots of f0, f1, f0*, f1*: the roots z of g = gcd(f0, f1, G) with g(1/z) = 0
-    g = ideal_gcd(F, [f0, f1], m, G)
+    g = _ideal_gcd(F, [f0, f1], m, G)
     return 2 * m + 2 - G.size - _gcd(F, g[::-1], g)[0].size
 
 
-def cyclic_idempotent(F, g, n: int):
+def _cyclic_idempotent(F, g, n: int):
     """The idempotent generator of the nonzero ideal (g) of F[y]/(y^n - 1), or
     None when gcd(g, h) != 1; e^2 = e and gcd(e, y^n - 1) = g are verified."""
-    one, s = _gcd(F, g, _divmod(F, ideal_gcd(F, [], n), g)[0], cofactor=True)  # h = (y^n-1)/g
+    one, s = _gcd(F, g, _divmod(F, _ideal_gcd(F, [], n), g)[0], cofactor=True)  # h = (y^n-1)/g
     if one.size != 1:
         return None
     s, e = _trim(s), np.zeros(n, dtype=np.int64)
     e[:s.size + g.size - 1] = _poly_mul(F, s, g)  # deg s < deg h, so deg s g < n
     if not np.array_equal(_cmul(F, e, e), e):
         raise AssertionError("solved generator is not idempotent")
-    if not np.array_equal(ideal_gcd(F, [e], n), g):
+    if not np.array_equal(_ideal_gcd(F, [e], n), g):
         raise AssertionError("solved idempotent does not span the ideal")
     return e
 
 
-def cyclic_code_rref(F, g, n: int) -> RrefResult:
-    """RREF of the code of (g): row i < k = n - deg g is y^i - y^k (y^(i-k) mod g), a
-    multiple of g with pivot i; g(0) != 0 lets y^(i+1-k) mod g be divided by y."""
-    d, k, g1 = g.size - 1, n + 1 - g.size, F.mul(g, F.inv(int(g[0])))
-    rows, r = np.eye(k, n, dtype=np.int64), np.eye(1, d + 1, dtype=np.int64)[0]
-    for i in range(k - 1, -1, -1):
-        if r[0]:
-            r = F.sub(r, F.mul(g1, int(r[0])))
-        r = np.append(r[1:], 0)
-        rows[i, k:] = r[:d]
-    rows[:, k:] = F.neg(rows[:, k:])
-    return RrefResult(FMatrix(F, rows, validate=False), k, tuple(range(k)))
-
-
 def dim_ideal(spec: IdealSpec) -> int:
-    """Dimension over F of the ideal: route_dim, else the rank of the stacked matrices."""
-    d = route_dim(spec)
+    """Dimension over F of the ideal: a polynomial route, else the rank of the stacked matrices."""
+    d = _route_dim(spec)
     return _dim_rank(spec) if d is None else d
 
 
@@ -265,7 +201,7 @@ def dim_bound_charpoly(f: AlgebraElem, side: str = "left") -> DimBound:
 def ideal_membership(h: AlgebraElem, spec: IdealSpec) -> bool:
     """Whether h lies in the ideal: g | h over a cyclic group, else no rank increase."""
     _check_context(h, spec.generators[0])
-    cyclic = cyclic_gcd(spec.generators)
+    cyclic = _cyclic_gcd(spec.generators)
     if cyclic is None:
         return _membership_rank(h, spec)
     return not _divmod(spec.field, _trim(h.coeffs[cyclic[0]]), cyclic[1])[1].size
@@ -307,10 +243,10 @@ def idempotent_generator(f: AlgebraElem, side: str = "left"):
     check_side(side)
     if f.is_zero:
         raise DomainError("zero element: the zero ideal has no idempotent generator")
-    cyclic = cyclic_gcd((f,))
+    cyclic = _cyclic_gcd((f,))
     if cyclic is None:
         return _idempotent_rank(f, side)
-    e = cyclic_idempotent(f.field, cyclic[1], f.group.n)
+    e = _cyclic_idempotent(f.field, cyclic[1], f.group.n)
     return None if e is None else AlgebraElem(f.field, f.group, e[np.argsort(cyclic[0])])
 
 

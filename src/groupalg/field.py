@@ -28,6 +28,7 @@ from .errors import DomainError, SpecError
 
 _EXT_ORDER_LIMIT = 1 << 20   # extension fields need full log/exp tables
 _DIGIT_TABLE_LIMIT = 1 << 16  # digit forms of all q elements are kept up to this order
+_XOR_TABLE_MIN = 1 << 13     # GF(2^m) antilogs by XOR from here: faster than digits
 _PRIME_TABLE_LIMIT = 1 << 16  # inverse tables for prime fields
 _MAX_PRIME = (1 << 31) - 1    # keeps a*b exact in int64
 _DOT_BLOCK = 1 << 22          # cap on temporary elements in a blocked dot
@@ -246,7 +247,7 @@ class Field:
         for i in range(m):
             mat[i, :len(row)] = row
             row = _pmulmod((0, 1), row, f, p)
-        if p == 2 and q > _DIGIT_TABLE_LIMIT:
+        if p == 2 and q >= _XOR_TABLE_MIN:
             exp = self._xor_antilog(mat @ self._pow_vec)
         else:
             digits = np.zeros((q - 1, m), dtype=np.int64)

@@ -2,7 +2,7 @@
 
 Identifying F[G] with F^n through the coefficient map turns an ideal into a
 linear [n, k] code over F.  The generator matrix is the reduced row echelon
-basis of the ideal, read off its gcd over cyclic:n (dimension.cyclic_code_rref)
+basis of the ideal, read off its gcd over cyclic:n (_cyclic_code_rref below)
 and off the stacked representation matrices otherwise, so equal ideals always
 yield byte-identical exports; the parity rows come from the same RREF.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimension import IdealSpec, cyclic_code_rref, cyclic_gcd
+from .dimension import IdealSpec, _cyclic_gcd
 from .errors import BudgetExceededError, DomainError, SpecError
 from .field import Field
 from .linalg import FMatrix, RrefResult, _kernel_vectors, rref
@@ -36,10 +36,24 @@ class GroupCode:
 
 def build_code(spec: IdealSpec) -> GroupCode:
     """Code of the ideal; raises on the zero ideal (no code to build)."""
-    cyclic = cyclic_gcd(spec.generators)
+    cyclic = _cyclic_gcd(spec.generators)
     if cyclic is not None and np.array_equal(cyclic[0], np.arange(spec.group.n)):
-        return _code(spec, cyclic_code_rref(spec.field, cyclic[1], spec.group.n))
+        return _code(spec, _cyclic_code_rref(spec.field, cyclic[1], spec.group.n))
     return _build_code_rank(spec)
+
+
+def _cyclic_code_rref(F, g, n: int) -> RrefResult:
+    """RREF of the code of (g): row i < k = n - deg g is y^i - y^k (y^(i-k) mod g), a
+    multiple of g with pivot i; g(0) != 0 lets y^(i+1-k) mod g be divided by y."""
+    d, k, g1 = g.size - 1, n + 1 - g.size, F.mul(g, F.inv(int(g[0])))
+    rows, r = np.eye(k, n, dtype=np.int64), np.eye(1, d + 1, dtype=np.int64)[0]
+    for i in range(k - 1, -1, -1):
+        if r[0]:
+            r = F.sub(r, F.mul(g1, int(r[0])))
+        r = np.append(r[1:], 0)
+        rows[i, k:] = r[:d]
+    rows[:, k:] = F.neg(rows[:, k:])
+    return RrefResult(FMatrix(F, rows, validate=False), k, tuple(range(k)))
 
 
 def _build_code_rank(spec: IdealSpec) -> GroupCode:
@@ -51,8 +65,7 @@ def _code(spec: IdealSpec, res: RrefResult) -> GroupCode:
     k = res.rank
     if k == 0:
         raise DomainError("zero ideal: all generators are zero, no code to build")
-    field = spec.field
-    n = spec.group.n
+    field, n = spec.field, spec.group.n
     genmat = FMatrix(field, res.matrix.data[:k], validate=False)
     paritymat = FMatrix(field, _kernel_vectors(res, n), validate=False)
     return GroupCode(n=n, k=k, field=field, genmat=genmat, paritymat=paritymat, source=spec)

@@ -216,6 +216,7 @@ def solve(a: FMatrix, b) -> SolveResult | None:
 
 
 # -- polynomials --
+# int64 coefficient arrays, low to high: FPoly and the routes of dimension.py build on these
 
 def _poly_mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients of the product of nonempty a and b (low-to-high), in O(len) memory."""
@@ -223,6 +224,56 @@ def _poly_mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(a):
         out[i:i + b.size] = field.add(out[i:i + b.size], field.mul(b, int(a[i])))
     return out
+
+
+def _trim(a):  # a copy without the leading zeros
+    return np.array(a[:np.flatnonzero(a)[-1] + 1] if a.any() else a[:0], dtype=np.int64)
+
+
+def _divmod(F, v, g):
+    """(q, r) with v = q g + r and deg r < deg g, for g monic; v is trimmed and reused."""
+    r = v
+    q = np.zeros(max(r.size - g.size + 1, 0), dtype=np.int64)
+    while r.size >= g.size:
+        sh = r.size - g.size
+        q[sh] = r[-1]
+        r[sh:] = F.sub(r[sh:], F.mul(g, int(r[-1])))
+        k = r.size - 1  # the top is now zero; drop it and the zeros below it
+        while k and not r[k - 1]:
+            k -= 1
+        r = r[:k]
+    return q, r
+
+
+def _cmul(F, a, b):
+    """a b mod y^n - 1 for two arrays of n coefficients."""
+    ab = _poly_mul(F, a, b)
+    return F.add(ab[:a.size], np.append(ab[a.size:], 0))
+
+
+def _gcd(F, a, b, cofactor: bool = False):
+    """(monic gcd(a, b), s), b nonzero; with cofactor, s a = gcd mod b, deg s < deg b."""
+    r0, r1 = _trim(a), _trim(b)
+    s0, s1 = np.eye(1, r1.size, dtype=np.int64)[0], np.zeros(r1.size, dtype=np.int64)
+    while r1.size:
+        c = F.inv(int(r1[-1]))
+        r1 = np.atleast_1d(F.mul(r1, c))
+        q, r = _divmod(F, r0, r1)
+        if cofactor:
+            s1 = F.mul(s1, c)
+            s0 = F.sub(s0, _poly_mul(F, q, s1)[:s0.size]) if q.size else s0
+        r0, r1, s0, s1 = r1, r, s1, s0
+    return r0, s0
+
+
+def _ideal_gcd(F, polys, n: int, g=None):
+    """Monic gcd(polys..., g), for a monic g that is y^n - 1 when omitted."""
+    if g is None:
+        g = np.zeros(n + 1, dtype=np.int64)
+        g[0], g[n] = F.neg(1), 1
+    for v in polys:
+        g = _gcd(F, v, g)[0] if g.size > 1 else g
+    return g
 
 
 class FPoly:

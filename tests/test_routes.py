@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupalg.algebra import AlgebraElem
 from groupalg.dimension import IdealSpec, _dim_rank, _idempotent_rank, _membership_rank, \
-    dim_ideal, ideal_membership, idempotent_generator, route, route_dim
+    _route, _route_dim, dim_ideal, ideal_membership, idempotent_generator
 from groupalg.field import parse_field_spec
 from groupalg.gcode import _build_code_rank, build_code, code_to_text
 from groupalg.groups import cayley_to_text, group_from_cayley_text, make_group
@@ -89,8 +89,8 @@ def test_cyclic_routes_match_rank(data):
     gspec = data.draw(st.sampled_from(CYCLIC))
     gens = data.draw(_elements(gspec, data.draw(st.integers(1, 3))))
     side = data.draw(st.sampled_from(("left", "right")))
-    assert route(gens[0].group)[0] == "cyclic"
-    assert route_dim(IdealSpec(side, tuple(gens))) is not None
+    assert _route(gens[0].group)[0] == "cyclic"
+    assert _route_dim(IdealSpec(side, tuple(gens))) is not None
     x = gens[0] * gens[-1]  # a member on both sides, the group is commutative
     _agree(gens, side, x)
 
@@ -103,10 +103,10 @@ def test_dihedral_route_matches_rank(data):
     gens = data.draw(_elements(gspec, count))
     side = data.draw(st.sampled_from(("left", "right")))
     g, f = gens[0].group, gens[0].field
-    assert route(g)[0] == "dihedral"
+    assert _route(g)[0] == "dihedral"
     spec = IdealSpec(side, tuple(gens))
     falls_back = count > 1 or (g.n // 2) % f.p == 0
-    assert (route_dim(spec) is None) == falls_back
+    assert (_route_dim(spec) is None) == falls_back
     member = gens[0] * gens[-1] if side == "left" else gens[-1] * gens[0]
     _agree(gens, side, member)
 
@@ -116,18 +116,18 @@ def test_route_detection_reads_the_table():
                         ("shuffled:12", "cyclic"), ("dihedral:6", "dihedral"),
                         ("symmetric:3", "dihedral"), ("product:cyclic:2,cyclic:4", None),
                         ("product:cyclic:2,dihedral:4", None), ("symmetric:4", None)):
-        assert route(_group(gspec))[0] == kind, gspec
+        assert _route(_group(gspec))[0] == kind, gspec
     # catalogue order is exponent order, so codes of cyclic:n skip elimination
-    assert np.array_equal(route(make_group("cyclic:9"))[1], np.arange(9))
-    assert np.array_equal(route(make_group("dihedral:5"))[1], np.arange(10))
-    assert not np.array_equal(route(_group("product:cyclic:3,cyclic:4"))[1], np.arange(12))
+    assert np.array_equal(_route(make_group("cyclic:9"))[1], np.arange(9))
+    assert np.array_equal(_route(make_group("dihedral:5"))[1], np.arange(10))
+    assert not np.array_equal(_route(_group("product:cyclic:3,cyclic:4"))[1], np.arange(12))
 
 
 def test_make_group_does_no_detection():
     for gspec in ("cyclic:8", "dihedral:4", "product:cyclic:3,cyclic:4", "symmetric:3"):
         g = make_group(gspec)
         assert g._route is None
-        route(g)
+        _route(g)
         assert g._route is not None
     g = group_from_cayley_text(cayley_to_text(make_group("cyclic:5")), "c5")
     assert g._route is None
@@ -139,7 +139,7 @@ def test_detection_is_fast_on_a_large_noncyclic_group():
     for _ in range(7):
         g._route = g._commutative = None
         started = time.perf_counter()
-        assert route(g) == (None, None)
+        assert _route(g) == (None, None)
         best = min(best, time.perf_counter() - started)
     assert best < 0.005, best
 
