@@ -24,10 +24,15 @@ the dimension that is exact with probability at least 1 - (W / (q-1))^trials.
 Only mulmuley_charpoly interpolates the symbolic polynomial itself, and it
 keeps the unhalved 2n x 2n form.
 
-The polynomial routes need no matrix (README, method notes): over C_n the ideal of
-f_1..f_r is generated by g = gcd(f_1, ..., f_r, y^n - 1), dim = n - deg g; over D_m,
-p not dividing m, f = f0(r) + s f1(r), h*(y) = h(y^-1), dim A f = 2m
-- deg gcd(f0 f0* - f1 f1*, y^m - 1) - deg gcd(f0, f1, f0*, f1*, y^m - 1).
+The polynomial routes need no n x n matrix (README, method notes).  Over C_n the
+ideal of f_1..f_r is generated by g = gcd(f_1, ..., f_r, y^n - 1), dim = n - deg g.
+Otherwise let N = <r> be a largest cyclic subgroup, of order o, with s = n/o right
+cosets N t_j.  a -> a f is left F[N]-linear on the free module sum F[N] t_j, with
+an s x s matrix over F[y]/(y^o - 1): t_i g = r^e t_j puts f_g y^e at (i, j).  Stack
+the generators' matrices (f* for right ideals) on (y^o - 1) I; with d_1..d_s the
+diagonal of its Hermite form over F[y], dim = s o - sum deg d_j (Howell 1986;
+Storjohann and Mulders 1998).  Non-cyclic groups take this route when
+o >= _HERMITE_MIN_ORDER = 32, the measured crossover with elimination.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ import numpy as np
 from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
 from .field import _prime_factors
-from .linalg import FMatrix, FPoly, XCharPoly, _cmul, _divmod, _gcd, _ideal_gcd, _poly_mul, \
-    _trim, charpoly, charpoly_xm, kernel_basis, rank, solve, xm_charpoly_values
+from .linalg import FMatrix, FPoly, XCharPoly, _cmul, _divmod, _gcd, _hermite_dim, _ideal_gcd, \
+    _poly_mul, _trim, charpoly, charpoly_xm, kernel_basis, rank, solve, xm_charpoly_values
 from .representation import check_side, rho_matrix, side_matrix, stack
 
 DEFAULT_SEED = 0
@@ -87,7 +92,12 @@ class DimBound:
     charpoly: FPoly
 
 
-# -- polynomial routes for cyclic and dihedral groups --
+# -- polynomial routes: the cosets of a largest cyclic subgroup --
+
+# non-cyclic groups whose largest cyclic subgroup has at least this order take the
+# coset route; below it elimination is faster (measured crossover, BENCH_16.json)
+_HERMITE_MIN_ORDER = 32
+
 
 def _powers(mul, k: int):
     """x^k for every element x, by square-and-multiply on index arrays."""
@@ -99,32 +109,44 @@ def _powers(mul, k: int):
     return out
 
 
-def _cycle(mul, m: int):
-    """Indices of r^0, ..., r^(m-1) for the first element r of order m, or None."""
-    ok = _powers(mul, m) == 0
-    for l in _prime_factors(m):
-        ok &= _powers(mul, m // l) != 0
-    pw, step = np.zeros(1, dtype=np.int64), int(np.argmax(ok))
-    while pw.size < m and ok.any():  # doubling: r^k..r^(2k-1) = (r^0..r^(k-1)) r^k
-        pw, step = np.concatenate([pw, mul[pw, step]])[:m], mul[step, step]
-    return pw if ok.any() else None
+def _largest_cycle(mul):
+    """Indices of r^0, ..., r^(o-1) for the first element r of largest order o."""
+    n = mul.shape[0]
+    order = np.ones(n, dtype=np.int64)
+    for l in _prime_factors(n):  # the l-part of each order: raise x^(n / l^a) to l until 1
+        m = n
+        while m % l == 0:
+            m //= l
+        z, pl = _powers(mul, m), _powers(mul, l)
+        while (live := z != 0).any():
+            order[live] *= l
+            z = pl[z]
+    o, step = int(order.max()), int(np.argmax(order))
+    pw = np.zeros(1, dtype=np.int64)
+    while pw.size < o:  # doubling: r^k..r^(2k-1) = (r^0..r^(k-1)) r^k
+        pw, step = np.concatenate([pw, mul[pw, step]])[:o], mul[step, step]
+    return pw
+
+
+def _coset_index(g, pw):
+    """idx[i, j, e] = the element x with t_i x = r^e t_j, t_j the least element of
+    the j-th right coset of <r>; a vector f of coefficients gathers to f[idx]."""
+    orbit = g.mul[pw]  # column x lists the coset <r> x
+    reps = np.unique(orbit.min(axis=0))
+    return g.mul[g.inv[reps][:, None, None], orbit[:, reps].T[None]]
 
 
 def _detect(g):
-    if g.is_commutative and (pw := _cycle(g.mul, g.n)) is not None:
+    pw = _largest_cycle(g.mul)
+    if pw.size == g.n:
         return "cyclic", pw
-    if g.n % 2 or (pw := _cycle(g.mul, g.n // 2)) is None:
-        return None, None
-    # an involution s outside <r> with s r^-1 s = r makes g = <r> + s<r> dihedral
-    idx, r = np.arange(g.n), pw[-1]
-    s = np.flatnonzero((g.mul[idx, idx] == 0) & ~np.isin(idx, pw)
-                       & (g.mul[g.mul[:, r], idx] == g.inv[r]))
-    return ("dihedral", np.concatenate([pw, g.mul[s[0], pw]])) if s.size else (None, None)
+    return ("cosets", _coset_index(g, pw)) if pw.size >= _HERMITE_MIN_ORDER else (None, None)
 
 
 def _route(group):
-    """('cyclic', order[k] = y^k), ('dihedral', order[flip*m + rot] = s^flip r^rot)
-    or (None, None), read off the table on first use and cached on the group."""
+    """('cyclic', order[k] = y^k), ('cosets', _coset_index) when the largest cyclic
+    subgroup reaches the gate, else (None, None); read off the table on first use
+    and cached on the group."""
     if group._route is None:
         group._route = _detect(group)
     return group._route
@@ -138,21 +160,18 @@ def _cyclic_gcd(gens):
     return order, _ideal_gcd(gens[0].field, [f.coeffs[order] for f in gens], order.size)
 
 
+def _coset_dim(spec, idx):
+    """dim of the ideal from the s x s matrices over F[y]/(y^o - 1) of a -> a f (left)."""
+    return _hermite_dim(spec.field, np.concatenate(
+        [(f.star() if spec.side == "right" else f).coeffs[idx] for f in spec.generators]))
+
+
 def _route_dim(spec):
     """The ideal's dimension by a polynomial route, or None when none applies."""
-    kind, order = _route(spec.group)
+    kind, data = _route(spec.group)
     if kind == "cyclic":
-        return order.size + 1 - _cyclic_gcd(spec.generators)[1].size
-    F, m, f = spec.field, spec.group.n // 2, spec.generators[0]
-    if kind != "dihedral" or len(spec.generators) > 1 or m % F.p == 0:
-        return None
-    v = (f.star() if spec.side == "right" else f).coeffs[order]
-    f0, f1 = v[:m], v[m:]
-    c0, c1 = (np.roll(h[::-1], 1) for h in (f0, f1))  # h*(y) = h(y^-1) mod y^m - 1
-    G = _ideal_gcd(F, [F.sub(_cmul(F, f0, c0), _cmul(F, f1, c1))], m)  # of the determinant
-    # common roots of f0, f1, f0*, f1*: the roots z of g = gcd(f0, f1, G) with g(1/z) = 0
-    g = _ideal_gcd(F, [f0, f1], m, G)
-    return 2 * m + 2 - G.size - _gcd(F, g[::-1], g)[0].size
+        return data.size + 1 - _cyclic_gcd(spec.generators)[1].size
+    return None if kind is None else _coset_dim(spec, data)
 
 
 def _cyclic_idempotent(F, g, n: int):
@@ -199,11 +218,11 @@ def dim_bound_charpoly(f: AlgebraElem, side: str = "left") -> DimBound:
 
 
 def ideal_membership(h: AlgebraElem, spec: IdealSpec) -> bool:
-    """Whether h lies in the ideal: g | h over a cyclic group, else no rank increase."""
+    """Whether h lies in the ideal: g | h over a cyclic group, else no dimension increase."""
     _check_context(h, spec.generators[0])
     cyclic = _cyclic_gcd(spec.generators)
     if cyclic is None:
-        return _membership_rank(h, spec)
+        return dim_ideal(spec) == dim_ideal(IdealSpec(spec.side, spec.generators + (h,)))
     return not _divmod(spec.field, _trim(h.coeffs[cyclic[0]]), cyclic[1])[1].size
 
 

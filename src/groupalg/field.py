@@ -337,6 +337,11 @@ class Field:
         return _ret(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a):
+        if type(a) is int:  # scalar fast path: a table read or one pow, no array round trip
+            if not a:
+                raise ZeroDivisionError("inversion of zero field element")
+            t = self._inv_table
+            return int(t[a]) if t is not None else pow(a, self.p - 2, self.p)
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of zero field element")

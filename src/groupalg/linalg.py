@@ -266,14 +266,54 @@ def _gcd(F, a, b, cofactor: bool = False):
     return r0, s0
 
 
-def _ideal_gcd(F, polys, n: int, g=None):
-    """Monic gcd(polys..., g), for a monic g that is y^n - 1 when omitted."""
-    if g is None:
-        g = np.zeros(n + 1, dtype=np.int64)
-        g[0], g[n] = F.neg(1), 1
+def _ideal_gcd(F, polys, n: int):
+    """Monic gcd(polys..., y^n - 1)."""
+    g = np.zeros(n + 1, dtype=np.int64)
+    g[0], g[n] = F.neg(1), 1
     for v in polys:
         g = _gcd(F, v, g)[0] if g.size > 1 else g
     return g
+
+
+def _hermite_dim(F, rows) -> int:
+    """dim over F of the F[y]-span of rows (r x s x o coefficients) mod y^o - 1.
+
+    Column k takes Euclid row operations over F[y] on the rows and (y^o - 1) e_k
+    until one row, with the gcd d_k, is left nonzero there; the span has dimension
+    s o - sum deg d_k, the Hermite diagonal (Howell 1986; Storjohann and Mulders
+    1998).  The rows (y^o - 1) e_j, j > k, stay implicit: later columns are kept
+    reduced mod y^o - 1, and each update q * (pivot row) is one Field.dot.
+    """
+    s, o = rows.shape[1:]
+    shift = (np.arange(o) - np.arange(o + 1)[:, None]) % o  # row t: the index map of y^t
+    lost = 0
+    for k in range(s):
+        col = np.zeros((rows.shape[0] + 1, o + 1), dtype=np.int64)
+        col[:-1, :o], col[-1, 0], col[-1, o] = rows[:, 0], F.neg(1), 1
+        rest = np.concatenate([rows[:, 1:], np.zeros((1, s - k - 1, o), dtype=np.int64)])
+        while True:
+            live = np.flatnonzero(col.any(axis=1))
+            deg = o - np.argmax(col[live, ::-1] != 0, axis=1)
+            if live.size == 1:
+                break
+            i = int(np.argmin(deg))
+            p, dp = live[i], int(deg[i])
+            c = F.inv(int(col[p, dp]))
+            col[p], rest[p] = F.mul(col[p], c), F.mul(rest[p], c)
+            oth = np.delete(live, i)
+            a, q = col[oth], np.zeros((oth.size, int(deg.max()) - dp + 1), dtype=np.int64)
+            for sh in range(q.shape[1] - 1, -1, -1):  # long division by the monic pivot
+                q[:, sh] = a[:, sh + dp]
+                a[:, sh:sh + dp + 1] = F.sub(a[:, sh:sh + dp + 1],
+                                             F.mul(q[:, sh, None], col[p, :dp + 1]))
+            col[oth] = a
+            if k < s - 1:  # rest[oth] -= q * rest[p] mod y^o - 1
+                ys = rest[p][:, shift[:q.shape[1]]].swapaxes(0, 1).reshape(q.shape[1], -1)
+                rest[oth] = F.sub(rest[oth], F.dot(q, ys).reshape(oth.size, s - k - 1, o))
+        lost += int(deg[0])
+        rows = np.delete(rest, live[0], axis=0)
+        rows = rows[rows.any(axis=(1, 2))]
+    return s * o - lost
 
 
 class FPoly:

@@ -290,6 +290,22 @@ def test_zero_division():
     g = make_field(2, 3)
     with pytest.raises(ZeroDivisionError):
         g.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        make_field(2147483647).inv(0)
+    with pytest.raises(ZeroDivisionError):
+        g.inv(np.array([1, 0]))
+
+
+def test_scalar_inv_agrees_with_array_inv():
+    # a Python int takes the scalar fast path, an array the vectorized one
+    rng = random.Random(16)
+    for spec in ("gf:5", "gf:2^2", "gf:3^2", "gf:2147483647"):
+        f = parse_field_spec(spec)
+        xs = list(range(1, f.q)) if f.q < 100 else [rng.randrange(1, f.q) for _ in range(200)]
+        want = f.inv(np.array(xs, dtype=np.int64)).tolist()
+        got = [f.inv(x) for x in xs]
+        assert got == want, spec
+        assert all(type(v) is int and f.mul(x, v) == 1 for x, v in zip(xs, got)), spec
 
 
 def test_check_range():

@@ -1,10 +1,11 @@
-"""The polynomial routes for cyclic and dihedral groups against elimination.
+"""The polynomial routes against elimination.
 
 Every route answer (dimension, membership, idempotent generator, code
 export) must equal the private rank path it replaces, on cyclic groups in
-catalogue order, in a shuffled Cayley file and as a coprime product, and on
-dihedral groups; dihedral groups with p | m and dihedral ideals with two
-generators must fall back.
+catalogue order, in a shuffled Cayley file and as a coprime product.  The
+coset route (Hermite form over F[y] on the cosets of a largest cyclic
+subgroup) must equal elimination on every group, called directly below the
+gate and through dim_ideal above it.
 """
 
 import functools
@@ -16,8 +17,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from groupalg.algebra import AlgebraElem
-from groupalg.dimension import IdealSpec, _dim_rank, _idempotent_rank, _membership_rank, \
-    _route, _route_dim, dim_ideal, ideal_membership, idempotent_generator
+from groupalg.dimension import _HERMITE_MIN_ORDER, IdealSpec, _coset_dim, _coset_index, \
+    _dim_rank, _idempotent_rank, _largest_cycle, _membership_rank, _route, _route_dim, dim_ideal, \
+    ideal_membership, idempotent_generator
 from groupalg.field import parse_field_spec
 from groupalg.gcode import _build_code_rank, build_code, code_to_text
 from groupalg.groups import cayley_to_text, group_from_cayley_text, make_group
@@ -25,8 +27,14 @@ from groupalg.groups import cayley_to_text, group_from_cayley_text, make_group
 FIELDS = ("gf:2", "gf:3", "gf:5", "gf:7", "gf:2^2", "gf:3^2")
 CYCLIC = ("cyclic:1", "cyclic:2", "cyclic:6", "cyclic:8", "cyclic:9", "cyclic:15", "cyclic:24",
           "product:cyclic:3,cyclic:4", "shuffled:12")
-DIHEDRAL = ("dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6", "dihedral:9", "dihedral:10",
-            "symmetric:3", "product:cyclic:2,cyclic:2", "product:cyclic:2,symmetric:3")
+# catalogue groups up to order 48 below the gate; dihedral:m with p | m is drawn over
+# every field, and cyclic:9 and shuffled:12 check the route at s = 1
+COSETS = tuple(f"dihedral:{m}" for m in (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 24)) + (
+    "symmetric:3", "symmetric:4", "product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:4",
+    "product:cyclic:4,cyclic:4", "product:cyclic:2,cyclic:24", "product:cyclic:2,symmetric:3",
+    "product:symmetric:3,cyclic:3", "product:cyclic:2,dihedral:4", "product:symmetric:3,symmetric:3",
+    "product:symmetric:4,cyclic:2", "product:cyclic:2,product:cyclic:2,cyclic:2", "cyclic:9",
+    "shuffled:12")
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
 
@@ -97,30 +105,59 @@ def test_cyclic_routes_match_rank(data):
 
 @SETTINGS
 @given(st.data())
-def test_dihedral_route_matches_rank(data):
-    gspec = data.draw(st.sampled_from(DIHEDRAL))
-    count = data.draw(st.sampled_from((1, 1, 2)))
-    gens = data.draw(_elements(gspec, count))
+def test_coset_route_matches_rank(data):
+    gspec = data.draw(st.sampled_from(COSETS))
+    gens = data.draw(_elements(gspec, data.draw(st.integers(1, 3))))
     side = data.draw(st.sampled_from(("left", "right")))
-    g, f = gens[0].group, gens[0].field
-    assert _route(g)[0] == "dihedral"
+    g = gens[0].group
     spec = IdealSpec(side, tuple(gens))
-    falls_back = count > 1 or (g.n // 2) % f.p == 0
-    assert (_route_dim(spec) is None) == falls_back
+    # the route itself, past the gate: every group here is below it or cyclic
+    assert _coset_dim(spec, _coset_index(g, _largest_cycle(g.mul))) == _dim_rank(spec)
     member = gens[0] * gens[-1] if side == "left" else gens[-1] * gens[0]
     _agree(gens, side, member)
 
 
+def test_coset_route_above_the_gate():
+    rng = random.Random(16)
+    for gspec, fspec in (("dihedral:64", "gf:2"), ("product:symmetric:3,cyclic:32", "gf:3")):
+        g, f = make_group(gspec), parse_field_spec(fspec)
+        assert _route(g)[0] == "cosets", gspec
+        one = AlgebraElem.one(f, g)
+        a, b = (AlgebraElem(f, g, [rng.randrange(f.q) for _ in range(g.n)]) for _ in "ab")
+        u = one - AlgebraElem.basis(f, g, int(_largest_cycle(g.mul)[1]))
+        dims = set()
+        for gens in ((a,), (u * a,), (u * a, u * u * b)):
+            for side in ("left", "right"):
+                spec = IdealSpec(side, gens)
+                dims.add(dim_ideal(spec))
+                assert dim_ideal(spec) == _dim_rank(spec), (gspec, side, len(gens))
+                for h in (a * gens[0] if side == "left" else gens[0] * a, b):
+                    assert ideal_membership(h, spec) == _membership_rank(h, spec)
+        assert len(dims) > 1 and min(dims) > 0, dims  # proper ideals were drawn too
+
+
 def test_route_detection_reads_the_table():
     for gspec, kind in (("cyclic:12", "cyclic"), ("product:cyclic:3,cyclic:4", "cyclic"),
-                        ("shuffled:12", "cyclic"), ("dihedral:6", "dihedral"),
-                        ("symmetric:3", "dihedral"), ("product:cyclic:2,cyclic:4", None),
-                        ("product:cyclic:2,dihedral:4", None), ("symmetric:4", None)):
+                        ("shuffled:12", "cyclic"), ("dihedral:6", None), ("symmetric:4", None),
+                        ("product:cyclic:2,cyclic:4", None), ("dihedral:24", None),
+                        ("dihedral:32", "cosets"), ("product:cyclic:2,cyclic:32", "cosets"),
+                        ("product:symmetric:4,cyclic:32", "cosets")):
         assert _route(_group(gspec))[0] == kind, gspec
+    for gspec, o in (("symmetric:4", 4), ("dihedral:24", 24), ("product:cyclic:2,cyclic:4", 4),
+                     ("product:symmetric:4,cyclic:32", 96)):
+        pw = _largest_cycle(_group(gspec).mul)
+        assert pw.size == o and len(set(pw.tolist())) == o, gspec
+    assert _HERMITE_MIN_ORDER > 24  # sweep groups (order <= 48) keep elimination
     # catalogue order is exponent order, so codes of cyclic:n skip elimination
     assert np.array_equal(_route(make_group("cyclic:9"))[1], np.arange(9))
-    assert np.array_equal(_route(make_group("dihedral:5"))[1], np.arange(10))
     assert not np.array_equal(_route(_group("product:cyclic:3,cyclic:4"))[1], np.arange(12))
+    # t_i x = r^e t_j for exactly one x: each s x o slice of the index is a permutation
+    g = make_group("product:symmetric:3,cyclic:32")
+    idx = _route(g)[1]
+    assert idx.shape == (2, 2, 96)
+    for block in idx:
+        assert np.array_equal(np.sort(block.ravel()), np.arange(g.n))
+    assert np.array_equal(idx[0, 0], _largest_cycle(g.mul))
 
 
 def test_make_group_does_no_detection():
@@ -139,7 +176,7 @@ def test_detection_is_fast_on_a_large_noncyclic_group():
     for _ in range(7):
         g._route = g._commutative = None
         started = time.perf_counter()
-        assert _route(g) == (None, None)
+        assert _route(g)[0] == "cosets"
         best = min(best, time.perf_counter() - started)
     assert best < 0.005, best
 
