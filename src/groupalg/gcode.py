@@ -102,7 +102,9 @@ def min_distance(code: GroupCode, budget: int = DEFAULT_BUDGET) -> int:
             f"q^k = {total} codewords exceeds the enumeration budget {budget}")
     # mixed-radix digits of 1..total-1 enumerate every nonzero message
     best = code.n
-    block = 1 << 12
+    # block x n temporaries of at most 2^18 entries (2 MiB): bigger ones are mapped and
+    # faulted in afresh on each call unless an earlier free raised malloc's threshold
+    block = max(1, min(1 << 12, (1 << 18) // code.n))
     powers = f.q ** np.arange(code.k, dtype=np.int64)
     for start in range(1, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
