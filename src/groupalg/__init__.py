@@ -20,8 +20,9 @@ from .gcode import GroupCode, build_code, code_to_text, encode, is_codeword, \
     min_distance
 from .groups import Group, ORDER_CAP, closure_from_generators, group_from_cayley_text, \
     load_cayley_file, load_perm_file, make_group, save_cayley_file, validate_group
-from .linalg import FMatrix, FPoly, XCharPoly, charpoly, charpoly_xm, kernel_basis, \
+from .linalg import FMatrix, XCharPoly, charpoly, charpoly_xm, kernel_basis, \
     lagrange_interpolate, rank, rref, solve, stack_matrices
+from .poly import FPoly
 from .representation import lambda_matrix, rho_matrix, stack
 
 __all__ = [

@@ -39,14 +39,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
 from .field import _prime_factors
-from .linalg import FMatrix, FPoly, XCharPoly, _cmul, _divmod, _gcd, _hermite_dim, _ideal_gcd, \
-    _poly_mul, _trim, charpoly, charpoly_xm, kernel_basis, rank, solve, xm_charpoly_values
+from .linalg import FMatrix, XCharPoly, charpoly, charpoly_xm, kernel_basis, rank, solve, \
+    xm_charpoly_values
+from .poly import FPoly, _cmul, _divmod, _gcd, _hermite_dim, _ideal_gcd, _poly_mul, _trim
 from .representation import check_side, rho_matrix, side_matrix, stack
 
 DEFAULT_SEED = 0
@@ -81,8 +83,7 @@ class IdealSpec:
         return self.generators[0].group
 
 
-@dataclass(frozen=True)
-class DimBound:
+class DimBound(NamedTuple):
     """Charpoly-derived dimension bounds for a single-generator ideal."""
 
     lower: int

@@ -12,7 +12,12 @@ like numpy ufuncs, and are exact.  There is no floating point anywhere.
 
 Extension fields (m > 1) are backed by discrete log/antilog tables, so their
 order is capped at 2**20.  Prime fields have no such cap beyond int64
-safety.  Field.extension picks every extension that evaluation nodes live in
+safety.  Building an extension field is linear algebra over make_field(p) on
+poly.py's multiplication matrices mod the modulus: Rabin's irreducibility test
+picks the default modulus (the lex-first monic irreducible) and checks a given
+one, powers of the candidate's matrix find the primitive element, and the
+antilog table is the orbit of 1 under that matrix.  This module holds no
+polynomial arithmetic of its own.  Field.extension picks every extension that evaluation nodes live in
 (Mulmuley's routes and charpoly_xm) and refuses one past the cap with
 DomainError, the CLI's exit 3, before any table is built.
 """
@@ -25,6 +30,7 @@ import itertools
 import numpy as np
 
 from .errors import DomainError, SpecError
+from .poly import FPoly, _gcd, _orbit, _vecpow, _xmat
 
 _EXT_ORDER_LIMIT = 1 << 20   # extension fields need full log/exp tables
 _DIGIT_TABLE_LIMIT = 1 << 16  # digit forms of all q elements are kept up to this order
@@ -69,87 +75,22 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- small polynomial helpers over F_p (coefficient tuples, low-to-high) --
-
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                        for i in range(n)))
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    return _ptrim(a[:df])
-
-
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(a, e, f, p):
-    r = (1,)
-    a = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            r = _pmulmod(r, a, f, p)
-        a = _pmulmod(a, a, f, p)
-        e >>= 1
-    return r
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        # make b monic, then reduce a mod b
-        lead = b[-1]
-        if lead != 1:
-            linv = pow(lead, p - 2, p)
-            b = _ptrim(tuple((c * linv) % p for c in b))
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _is_irreducible(coeffs, p) -> bool:
-    # monic degree-m polynomial; standard power test:
-    # x^(p^m) == x mod f, and x^(p^(m/l)) - x coprime to f for prime l | m
-    m = len(coeffs) - 1
-    if m < 1:
-        return False
+def _is_irreducible(f, p: int) -> bool:
+    """Rabin's test (1980) for a monic f of degree m over F_p: irreducible iff
+    x^(p^m) = x mod f and gcd(x^(p^(m/l)) - x, f) = 1 for each prime l | m.  The
+    powers x^(p^k) are the orbit of x under the Frobenius matrix of a -> a^p."""
+    m = len(f) - 1
     if m == 1:
         return True
-    x = (0, 1)
-    if _ppowmod(x, p ** m, coeffs, p) != x:
+    F, f = make_field(p), np.array(f, dtype=np.int64)
+    one = np.zeros(m, dtype=np.int64)
+    one[0] = 1
+    xs = _orbit(F, one, _xmat(F, f), (m - 1) * p + 1)  # row k: x^k mod f
+    x, frob = xs[1], xs[::p]  # frob row i: x^(ip) mod f, the image of x^i
+    xpow = _orbit(F, x, frob, m + 1)  # row k: x^(p^k) mod f
+    if (xpow[m] != x).any():
         return False
-    for l in set(_prime_factors(m)):
-        t = _ppowmod(x, p ** (m // l), coeffs, p)
-        if len(_pgcd(_psub(t, x, p), coeffs, p)) > 1:
-            return False
-    return True
+    return all(_gcd(F, F.sub(xpow[m // l], x), f)[0].size == 1 for l in _prime_factors(m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,10 +102,11 @@ def _default_modulus(p: int, m: int) -> tuple:
     """
     if m == 1:
         return (0, 1)
-    # product varies the last position fastest: lex order, c_0 != 0 only
+    # product varies the last position fastest: lex order, c_0 != 0 only; a candidate
+    # with f(1) = sum c_i = 0 has the factor x - 1 and is skipped before Rabin's test
     for head in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         coeffs = head + (1,)
-        if _is_irreducible(coeffs, p):
+        if (sum(head) + 1) % p and _is_irreducible(coeffs, p):
             return coeffs
     raise SpecError(f"no irreducible polynomial of degree {m} over F_{p}")  # unreachable
 
@@ -229,37 +171,25 @@ class Field:
 
     def _build_ext_tables(self):
         p, m, q, f = self.p, self.m, self.q, self.modulus
-        # primitive element: smallest encoding whose order is q-1
+        # primitive element: the smallest encoding gen with gen^((q-1)/l) != 1 for each
+        # prime l | q-1, read off mat, the matrix of a -> a gen mod f (row i = x^i gen).
+        # The constants, encodings below p, have orders dividing p - 1 and are skipped.
+        F, one = make_field(p), np.zeros(m, dtype=np.int64)
+        one[0] = 1
+        xmat = _xmat(F, np.array(f, dtype=np.int64))
         factors = _prime_factors(q - 1)
-        gen = None
-        for enc in range(2, q):
-            cand = self.to_coeffs(enc)
-            if all(_ppowmod(cand, (q - 1) // l, f, p) != (1,) for l in factors):
-                gen = cand
+        for enc in range(p, q):
+            mat = _orbit(F, np.array(self.to_coeffs(enc)), xmat, m)
+            if all((_vecpow(F, one, mat, (q - 1) // l) != one).any() for l in factors):
                 break
-        if gen is None:
+        else:
             raise SpecError("no primitive element found")  # unreachable
-        # antilog table by doubling: mat multiplies by gen^k, so the first k
-        # powers times mat are the next k; then mat is squared.  In digit form
-        # entries stay below m * (p-1)^2 < 2^63, exact in int64.
-        mat = np.zeros((m, m), dtype=np.int64)  # row i = x^i * gen mod f
-        row = gen
-        for i in range(m):
-            mat[i, :len(row)] = row
-            row = _pmulmod((0, 1), row, f, p)
+        # antilog table by doubling: the powers of gen in digit form are the orbit of 1
+        # under mat.  GF(2^m) from _XOR_TABLE_MIN on takes XOR doubling instead.
         if p == 2 and q >= _XOR_TABLE_MIN:
             exp = self._xor_antilog(mat @ self._pow_vec)
         else:
-            digits = np.zeros((q - 1, m), dtype=np.int64)
-            digits[0, 0] = 1
-            k = 1
-            while k < q - 1:
-                step = min(k, q - 1 - k)
-                out = digits[k:k + step]
-                np.remainder(np.matmul(digits[:step], mat, out=out), p, out=out)
-                mat = (mat @ mat) % p
-                k += step
-            exp = digits @ self._pow_vec
+            exp = _orbit(F, one, mat, q - 1) @ self._pow_vec
         # log[0] = 2(q-1) and an antilog table of two periods then zeros make
         # mul one gather: a log sum of nonzero elements is below 2(q-1), and
         # one with a zero lands in [2(q-1), 4(q-1)], where the table holds 0
@@ -531,11 +461,7 @@ class Embedding:
                 f"{dst!r} is not an extension of {src!r}")
         self.src = src
         self.dst = dst
-        xs = np.arange(dst.q, dtype=np.int64)
-        val = np.zeros(dst.q, dtype=np.int64)
-        for c in reversed(src.modulus):
-            val = dst.add(dst.mul(val, xs), c)
-        roots = np.nonzero(val == 0)[0]
+        roots = np.nonzero(FPoly(dst, src.modulus).eval(dst.elements()) == 0)[0]
         if roots.size == 0:
             raise SpecError("modulus has no root in the destination field")
         self.root = int(roots[0])

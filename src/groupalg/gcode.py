@@ -9,7 +9,7 @@ yield byte-identical exports; the parity rows come from the same RREF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .representation import stack
 DEFAULT_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
-class GroupCode:
+class GroupCode(NamedTuple):
     """An [n, k] linear code arising from a group algebra ideal."""
 
     n: int

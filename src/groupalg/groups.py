@@ -12,7 +12,7 @@ product:cyclic:2,cyclic:2 enumerates e, a, b, ab.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ def _check_order(n: int) -> None:
         raise SpecError(f"group order {n} exceeds the cap {ORDER_CAP}")
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     level: str
     violations: list
     total: int

@@ -9,18 +9,20 @@ The characteristic polynomial is computed by similarity reduction to upper
 Hessenberg form (divisions only, valid over any field) followed by the
 standard recurrence on leading principal minors of zI - H.  The symbolic
 variant charpoly_xm evaluates at extension-field nodes and interpolates each
-z-coefficient.
+z-coefficient by Newton's divided differences.  Polynomial arithmetic and
+FPoly, the polynomial type charpoly returns, live in poly.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SpecError
 from .field import Field, embedding
+from .poly import FPoly
+
 
 class FMatrix:
     """A rows x cols matrix over a finite field."""
@@ -215,213 +217,6 @@ def solve(a: FMatrix, b) -> SolveResult | None:
     return SolveResult(x, list(_kernel_vectors(res, a.cols)))
 
 
-# -- polynomials --
-# int64 coefficient arrays, low to high: FPoly and the routes of dimension.py build on these
-
-def _poly_mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the product of nonempty a and b (low-to-high), in O(len) memory."""
-    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
-    for i in np.flatnonzero(a):
-        out[i:i + b.size] = field.add(out[i:i + b.size], field.mul(b, int(a[i])))
-    return out
-
-
-def _trim(a):  # a copy without the leading zeros
-    return np.array(a[:np.flatnonzero(a)[-1] + 1] if a.any() else a[:0], dtype=np.int64)
-
-
-def _divmod(F, v, g):
-    """(q, r) with v = q g + r and deg r < deg g, for g monic; v is trimmed and reused."""
-    r = v
-    q = np.zeros(max(r.size - g.size + 1, 0), dtype=np.int64)
-    while r.size >= g.size:
-        sh = r.size - g.size
-        q[sh] = r[-1]
-        r[sh:] = F.sub(r[sh:], F.mul(g, int(r[-1])))
-        k = r.size - 1  # the top is now zero; drop it and the zeros below it
-        while k and not r[k - 1]:
-            k -= 1
-        r = r[:k]
-    return q, r
-
-
-def _cmul(F, a, b):
-    """a b mod y^n - 1 for two arrays of n coefficients."""
-    ab = _poly_mul(F, a, b)
-    return F.add(ab[:a.size], np.append(ab[a.size:], 0))
-
-
-def _gcd(F, a, b, cofactor: bool = False):
-    """(monic gcd(a, b), s), b nonzero; with cofactor, s a = gcd mod b, deg s < deg b."""
-    r0, r1 = _trim(a), _trim(b)
-    s0, s1 = np.eye(1, r1.size, dtype=np.int64)[0], np.zeros(r1.size, dtype=np.int64)
-    while r1.size:
-        c = F.inv(int(r1[-1]))
-        r1 = np.atleast_1d(F.mul(r1, c))
-        q, r = _divmod(F, r0, r1)
-        if cofactor:
-            s1 = F.mul(s1, c)
-            s0 = F.sub(s0, _poly_mul(F, q, s1)[:s0.size]) if q.size else s0
-        r0, r1, s0, s1 = r1, r, s1, s0
-    return r0, s0
-
-
-def _ideal_gcd(F, polys, n: int):
-    """Monic gcd(polys..., y^n - 1)."""
-    g = np.zeros(n + 1, dtype=np.int64)
-    g[0], g[n] = F.neg(1), 1
-    for v in polys:
-        g = _gcd(F, v, g)[0] if g.size > 1 else g
-    return g
-
-
-def _hermite_dim(F, rows) -> int:
-    """dim over F of the F[y]-span of rows (r x s x o coefficients) mod y^o - 1.
-
-    Column k takes Euclid row operations over F[y] on the rows and (y^o - 1) e_k
-    until one row, with the gcd d_k, is left nonzero there; the span has dimension
-    s o - sum deg d_k, the Hermite diagonal (Howell 1986; Storjohann and Mulders
-    1998).  The rows (y^o - 1) e_j, j > k, stay implicit: later columns are kept
-    reduced mod y^o - 1, and each update q * (pivot row) is one Field.dot.
-    """
-    s, o = rows.shape[1:]
-    shift = (np.arange(o) - np.arange(o + 1)[:, None]) % o  # row t: the index map of y^t
-    lost = 0
-    for k in range(s):
-        col = np.zeros((rows.shape[0] + 1, o + 1), dtype=np.int64)
-        col[:-1, :o], col[-1, 0], col[-1, o] = rows[:, 0], F.neg(1), 1
-        rest = np.concatenate([rows[:, 1:], np.zeros((1, s - k - 1, o), dtype=np.int64)])
-        while True:
-            live = np.flatnonzero(col.any(axis=1))
-            deg = o - np.argmax(col[live, ::-1] != 0, axis=1)
-            if live.size == 1:
-                break
-            i = int(np.argmin(deg))
-            p, dp = live[i], int(deg[i])
-            c = F.inv(int(col[p, dp]))
-            col[p], rest[p] = F.mul(col[p], c), F.mul(rest[p], c)
-            oth = np.delete(live, i)
-            a, q = col[oth], np.zeros((oth.size, int(deg.max()) - dp + 1), dtype=np.int64)
-            for sh in range(q.shape[1] - 1, -1, -1):  # long division by the monic pivot
-                q[:, sh] = a[:, sh + dp]
-                a[:, sh:sh + dp + 1] = F.sub(a[:, sh:sh + dp + 1],
-                                             F.mul(q[:, sh, None], col[p, :dp + 1]))
-            col[oth] = a
-            if k < s - 1:  # rest[oth] -= q * rest[p] mod y^o - 1
-                ys = rest[p][:, shift[:q.shape[1]]].swapaxes(0, 1).reshape(q.shape[1], -1)
-                rest[oth] = F.sub(rest[oth], F.dot(q, ys).reshape(oth.size, s - k - 1, o))
-        lost += int(deg[0])
-        rows = np.delete(rest, live[0], axis=0)
-        rows = rows[rows.any(axis=(1, 2))]
-    return s * o - lost
-
-
-class FPoly:
-    """Dense univariate polynomial over a finite field.
-
-    Coefficients are stored low-to-high with no trailing zeros; the zero
-    polynomial has an empty coefficient tuple.
-    """
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs):
-        self.field = field
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        field.check_range(np.asarray(cs, dtype=np.int64))
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field: Field) -> "FPoly":
-        return cls(field, ())
-
-    @classmethod
-    def const(cls, field: Field, c) -> "FPoly":
-        return cls(field, (int(c),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def valuation(self):
-        """Multiplicity of the root 0 (index of first nonzero coefficient);
-        None for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-    def _padded(self, other: "FPoly"):
-        """(field, a, b): both coefficient lists zero-padded to one length."""
-        f = self._same_field(other)
-        ab = np.zeros((2, max(len(self.coeffs), len(other.coeffs))), dtype=np.int64)
-        ab[0, :len(self.coeffs)] = self.coeffs
-        ab[1, :len(other.coeffs)] = other.coeffs
-        return f, ab[0], ab[1]
-
-    def add(self, other: "FPoly") -> "FPoly":
-        f, a, b = self._padded(other)
-        return FPoly(f, np.atleast_1d(f.add(a, b)))
-
-    def sub(self, other: "FPoly") -> "FPoly":
-        f, a, b = self._padded(other)
-        return FPoly(f, np.atleast_1d(f.sub(a, b)))
-
-    def mul(self, other: "FPoly") -> "FPoly":
-        f = self._same_field(other)
-        if self.is_zero or other.is_zero:
-            return FPoly.zero(f)
-        return FPoly(f, _poly_mul(f, np.array(self.coeffs), np.array(other.coeffs)))
-
-    def scale(self, c) -> "FPoly":
-        f = self.field
-        if not self.coeffs:
-            return self
-        return FPoly(f, np.atleast_1d(f.mul(np.asarray(self.coeffs, np.int64), int(c))))
-
-    def eval(self, x):
-        """Horner evaluation; x may be a scalar or an array."""
-        f = self.field
-        x = np.asarray(x, dtype=np.int64)
-        acc = np.zeros_like(x)
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        if isinstance(acc, int) or acc.ndim == 0:
-            return int(acc)
-        return acc
-
-    def _same_field(self, other: "FPoly") -> Field:
-        if self.field != other.field:
-            raise DomainError("polynomial arithmetic across different fields")
-        return self.field
-
-    def __eq__(self, other):
-        return (isinstance(other, FPoly) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"FPoly({list(self.coeffs)})"
-
-    def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " ".join(self.field.format_value(c) for c in self.coeffs)
-
-    @classmethod
-    def from_text(cls, field: Field, text: str) -> "FPoly":
-        toks = text.split()
-        return cls(field, [field.parse_value(t) for t in toks])
-
-
 # -- characteristic polynomials --
 
 def _charpoly_data(field: Field, a: np.ndarray) -> np.ndarray:
@@ -522,8 +317,7 @@ def lagrange_interpolate(field: Field, points) -> FPoly:
     return FPoly(field, _interp_many(field, xs, ys)[0])
 
 
-@dataclass(frozen=True)
-class XCharPoly:
+class XCharPoly(NamedTuple):
     """Characteristic polynomial of diag(1, x, ..., x^{s-1}) . M with x symbolic.
 
     zcoeffs[j] is the z^j coefficient as a polynomial in x over the extension

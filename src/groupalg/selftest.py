@@ -17,7 +17,8 @@ from .dimension import IdealSpec, dim_bound_charpoly, dim_ideal, ideal_membershi
     idempotent_generator
 from .field import make_field
 from .groups import group_from_cayley_text, make_group, validate_group
-from .linalg import FPoly, charpoly, rank
+from .linalg import charpoly, rank
+from .poly import FPoly
 from .representation import rho_matrix, stack
 
 # S_3 in the reference order 1, (12), (13), (23), (123), (132); coefficient

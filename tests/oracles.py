@@ -40,6 +40,8 @@ class OracleField:
             if t == 1 and m >= 1:
                 p, self.m = cand, m
                 break
+        if p is None and q > 1 and all(q % d for d in range(2, int(q ** 0.5) + 1)):
+            p, self.m = q, 1  # a large prime field, such as GF(2^31 - 1)
         if p is None:
             raise ValueError(f"unsupported oracle field order {q}")
         self.p = p
@@ -91,6 +93,8 @@ class OracleField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError
+        if self.m == 1:
+            return pow(a, self.p - 2, self.p)  # Fermat
         for b in range(1, self.q):
             if self.mul(a, b) == 1:
                 return b
@@ -98,10 +102,9 @@ class OracleField:
 
 
 
-def lex_first_irreducible(p: int, m: int) -> tuple:
-    """Monic irreducible of degree m over F_p, p prime, whose coefficient
-    list (c_0, ..., c_{m-1}) is lexicographically smallest, by trial division
-    by every monic polynomial of degree 1..m//2 (low-to-high tuples)."""
+def is_irreducible(p: int, cand: tuple) -> bool:
+    """Whether the monic cand (low-to-high, degree m >= 1) is irreducible over F_p,
+    p prime, by trial division by every monic polynomial of degree 1..m//2."""
     def rem_is_zero(a, b):  # b monic
         a = list(a)
         for top in range(len(a) - 1, len(b) - 2, -1):
@@ -110,12 +113,17 @@ def lex_first_irreducible(p: int, m: int) -> tuple:
                 a[top - len(b) + 1 + i] = (a[top - len(b) + 1 + i] - c * y) % p
         return not any(a)
 
-    divisors = [low + (1,) for deg in range(1, m // 2 + 1)
-                for low in itertools.product(range(p), repeat=deg)]
+    m = len(cand) - 1
+    return not any(rem_is_zero(cand, low + (1,)) for deg in range(1, m // 2 + 1)
+                   for low in itertools.product(range(p), repeat=deg))
+
+
+def lex_first_irreducible(p: int, m: int) -> tuple:
+    """Monic irreducible of degree m over F_p, p prime, whose coefficient
+    list (c_0, ..., c_{m-1}) is lexicographically smallest (low-to-high tuples)."""
     for low in itertools.product(range(p), repeat=m):
-        cand = low + (1,)
-        if not any(rem_is_zero(cand, d) for d in divisors):
-            return cand
+        if is_irreducible(p, low + (1,)):
+            return low + (1,)
     raise AssertionError("no irreducible polynomial found")
 
 def poly_trim(c: list) -> list:

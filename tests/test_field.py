@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -380,6 +381,73 @@ def test_default_modulus_is_the_plain_lex_first_irreducible():
             assert field_module._default_modulus(p, m) == oracles.lex_first_irreducible(p, m), \
                 (p, m)
             m += 1
+
+
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return out
+
+
+def _power_test_passes(p: int, f: tuple) -> bool:
+    """x^(p^m) = x mod f, by m p-th powers with the oracle's plain-list arithmetic."""
+    o, m = OracleField(p), len(f) - 1
+    t = [0, 1]
+    for _ in range(m):
+        u = [1]
+        for _ in range(p):
+            u = oracles.poly_mod(o, oracles.poly_mul(o, u, t), list(f))
+        t = u
+    return t == [0, 1]
+
+
+def test_rabin_test_classifies_every_small_monic_polynomial():
+    # every monic f of degree m >= 2 over F_p with p^m <= 2^8, c_0 = 0 included,
+    # against trial division; the irreducibles number (1/m) sum_{d | m} mu(d) p^(m/d)
+    for p in (2, 3, 5, 7, 11, 13):
+        m = 2
+        while p ** m <= 1 << 8:
+            count = 0
+            for low in itertools.product(range(p), repeat=m):
+                f = low + (1,)
+                irreducible = oracles.is_irreducible(p, f)
+                assert field_module._is_irreducible(f, p) == irreducible, (p, f)
+                count += irreducible
+                if not irreducible:
+                    with pytest.raises(SpecError, match="reducible"):
+                        Field(p, m, f)
+            gauss = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+            assert count * m == gauss, (p, m)
+            m += 1
+
+
+def test_rabin_gcd_step_catches_squarefree_products_of_small_degree_factors():
+    # a squarefree f whose irreducible factors all have degrees dividing m passes
+    # x^(p^m) = x mod f; only gcd(x^(p^(m/l)) - x, f) = 1 rejects it.  A square
+    # fails the power test already, as x^(p^m) - x is squarefree.
+    o2, o3 = OracleField(2), OracleField(3)
+    mul = oracles.poly_mul
+    gcd_only = [
+        (2, [0, 1, 1]),                                    # x (x + 1): c_0 = 0
+        (2, mul(o2, [0, 1], [1, 0, 0, 1])),                # x (x + 1)(x^2 + x + 1)
+        (2, mul(o2, mul(o2, [1, 1], [1, 1, 1]), [1, 1, 0, 1])),  # degrees 1, 2, 3 | 6
+        (3, mul(o3, [1, 1], [2, 1])),                      # (x + 1)(x + 2)
+        (3, mul(o3, [1, 0, 1], [2, 1, 1])),                # two quadratics, m = 4
+    ]
+    for p, f in gcd_only:
+        f = tuple(f)
+        assert not oracles.is_irreducible(p, f) and _power_test_passes(p, f), (p, f)
+        assert not field_module._is_irreducible(f, p), (p, f)
+        with pytest.raises(SpecError, match="reducible"):
+            Field(p, len(f) - 1, f)
+    square = tuple(mul(o2, [1, 1, 1], [1, 1, 1]))          # (x^2 + x + 1)^2
+    assert not _power_test_passes(2, square) and not field_module._is_irreducible(square, 2)
 
 
 def test_extension_is_the_smallest_field_with_enough_elements():

@@ -1,0 +1,96 @@
+"""Direct checks of poly.py's coefficient-array helpers against the plain-list
+polynomial arithmetic of tests/oracles.py."""
+
+import random
+
+import numpy as np
+import pytest
+
+from groupalg.field import parse_field_spec
+from groupalg.poly import _cmul, _divmod, _gcd, _poly_mul, _trim
+
+import oracles
+from oracles import OracleField
+
+SPECS = ("gf:2", "gf:5", "gf:2^2", "gf:3^2", "gf:2147483647")  # the last: the int64 edge
+
+
+def _pairs(q: int, seed: int):
+    """(a, b) coefficient lists, low to high: every degree pair up to 4, b of degree 0
+    and equal degrees among them, plus zero and constants on either side."""
+    rng = random.Random(seed)
+
+    def draw(deg):
+        return [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
+
+    pairs = [(draw(da), draw(db)) for da in range(5) for db in range(5) for _ in range(2)]
+    return pairs + [([0], draw(3)), ([0], [1]), (draw(3), [0]), ([1], [1]),
+                    ([q - 1], draw(2)), (draw(2), [q - 1])]
+
+
+def _add(o: OracleField, a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return oracles.poly_trim([o.add(x, y) for x, y in zip(a, b)])
+
+
+def _monic(o: OracleField, b: list) -> list:
+    c = o.inv(b[-1])
+    return [o.mul(x, c) for x in b]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_product_matches_oracle(spec):
+    F = parse_field_spec(spec)
+    o = OracleField(F.q)
+    for a, b in _pairs(F.q, 1):
+        got = _trim(_poly_mul(F, np.array(a), np.array(b))).tolist()
+        assert got == oracles.poly_mul(o, oracles.poly_trim(a), oracles.poly_trim(b)), (a, b)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_division_with_remainder_matches_oracle(spec):
+    F = parse_field_spec(spec)
+    o = OracleField(F.q)
+    for a, b in _pairs(F.q, 2):
+        b = oracles.poly_trim(b)
+        if not b:
+            continue
+        g = _monic(o, b)
+        q, r = _divmod(F, _trim(np.array(a)), np.array(g))
+        r = _trim(r).tolist()
+        assert r == oracles.poly_mod(o, a, g), (a, g)
+        assert len(r) < len(g)
+        assert _add(o, oracles.poly_mul(o, _trim(q).tolist(), g), r) == oracles.poly_trim(a)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_gcd_and_cofactor_match_oracle(spec):
+    F = parse_field_spec(spec)
+    o = OracleField(F.q)
+    for a, b in _pairs(F.q, 3):
+        b = oracles.poly_trim(b)
+        if not b:
+            continue
+        g, s = _gcd(F, np.array(a), np.array(b), cofactor=True)
+        g, s = g.tolist(), _trim(s).tolist()
+        assert g == oracles.poly_gcd(o, a, b), (a, b)
+        assert len(s) < max(len(b), 2)  # deg s < deg b, or s constant for b constant
+        assert oracles.poly_mod(o, oracles.poly_mul(o, s, oracles.poly_trim(a)), b) \
+            == oracles.poly_mod(o, g, b), (a, b)
+        assert _gcd(F, np.array(a), np.array(b))[0].tolist() == g
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_cyclic_product_matches_oracle(spec):
+    F = parse_field_spec(spec)
+    o = OracleField(F.q)
+    rng = random.Random(4)
+    for n in (1, 2, 3, 7):
+        ring = [o.neg(1)] + [0] * (n - 1) + [1]  # y^n - 1
+        for _ in range(6):
+            a, b = ([rng.randrange(F.q) for _ in range(n)] for _ in range(2))
+            got = oracles.poly_trim(_cmul(F, np.array(a), np.array(b)).tolist())
+            want = oracles.poly_mod(o, oracles.poly_mul(o, oracles.poly_trim(a),
+                                                        oracles.poly_trim(b)), ring)
+            assert got == want, (n, a, b)

@@ -1,0 +1,47 @@
+"""Import-structure guards on src/groupalg, read off the source with ast.
+
+poly.py sits below field.py and linalg.py, so it may import no groupalg module
+but errors; and no module imports inside a function, which is how an import
+cycle (field.py reaching into linalg.py, say) would hide.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "groupalg"
+
+
+def _groupalg_imports(tree):
+    """(line, module) for every groupalg module that an import statement in tree names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            yield from ((node.lineno, name.split(".")[0]) for name in names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("groupalg"):
+            yield node.lineno, node.module.partition(".")[2] or "groupalg"
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name.partition(".")[2] or "groupalg")
+                        for a in node.names if a.name.split(".")[0] == "groupalg")
+
+
+def test_poly_imports_no_groupalg_module_but_errors():
+    tree = ast.parse((SRC / "poly.py").read_text())
+    bad = [(line, mod) for line, mod in _groupalg_imports(tree) if mod != "errors"]
+    assert not bad, f"poly.py imports {bad}"
+
+
+def test_no_module_imports_inside_a_function():
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not bad, f"imports inside functions: {bad}"
+
+
+def test_the_guards_see_the_imports_they_forbid():
+    tree = ast.parse("from .linalg import _gcd\nfrom . import field\nimport groupalg.dimension\n"
+                     "from .errors import SpecError\n")
+    assert [mod for _, mod in _groupalg_imports(tree)] == \
+        ["linalg", "field", "dimension", "errors"]
