@@ -26,7 +26,7 @@ from .algebra import AlgebraElem, parse_element_inline, read_element_file
 from .dimension import DEFAULT_SEED, DEFAULT_TRIALS, IdealSpec, annihilator_basis, \
     dim_bound_charpoly, dim_ideal, dim_mulmuley_exact, dim_mulmuley_random, \
     idempotent_generator
-from .errors import DomainError, SpecError
+from .errors import BudgetExceededError, DomainError, SpecError
 from .field import format_field_spec, parse_field_spec
 from .gcode import DEFAULT_BUDGET, build_code, code_to_text, min_distance
 from .groups import cayley_to_text, load_cayley_file, make_group, validate_group
@@ -198,11 +198,10 @@ def _charpoly(args, gens):
 def _code(args, gens):
     field = gens[0].field
     code = build_code(IdealSpec(side=args.side, generators=tuple(gens)))
-    total = field.q ** code.k
-    if total <= args.budget:
-        d, skipped = min_distance(code, budget=args.budget), None
-    else:
-        d, skipped = None, f"q^k = {total} exceeds budget {args.budget}"
+    try:
+        d, skipped = _flag("--budget", min_distance, code, args.budget), None
+    except BudgetExceededError:
+        d, skipped = None, f"q^k = {field.q ** code.k} exceeds budget {args.budget}"
     gen_rows, par_rows = _rows(field, code.genmat), _rows(field, code.paritymat)
     lines = [f"[{code.n},{code.k}]" + (f" d={d}" if d is not None else "")]
     if skipped:

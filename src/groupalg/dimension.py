@@ -26,6 +26,9 @@ keeps the unhalved 2n x 2n form.
 
 The polynomial routes need no n x n matrix (README, method notes).  Over C_n the
 ideal of f_1..f_r is generated by g = gcd(f_1, ..., f_r, y^n - 1), dim = n - deg g.
+In catalogue order its RREF basis is built from g.  Codes and annihilators read that
+one RREF: build_code its rows and null space, annihilator_basis the null space,
+which is ker rho(f) (starred: the right annihilator) or ker rho(f*) (the left).
 Otherwise let N = <r> be a largest cyclic subgroup, of order o, with s = n/o right
 cosets N t_j.  a -> a f is left F[N]-linear on the free module sum F[N] t_j, with
 an s x s matrix over F[y]/(y^o - 1): t_i g = r^e t_j puts f_g y^e at (i, j).  Stack
@@ -38,7 +41,6 @@ o >= _HERMITE_MIN_ORDER = 32, the measured crossover with elimination.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,25 +48,23 @@ import numpy as np
 from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
 from .field import _prime_factors
-from .linalg import FMatrix, XCharPoly, charpoly, charpoly_xm, kernel_basis, rank, solve, \
-    xm_charpoly_values
+from .linalg import FMatrix, RrefResult, XCharPoly, _kernel_vectors, charpoly, charpoly_xm, \
+    rank, rref, solve, xm_charpoly_values
 from .poly import FPoly, _cmul, _divmod, _gcd, _hermite_dim, _ideal_gcd, _poly_mul, _trim
-from .representation import check_side, rho_matrix, side_matrix, stack
+from .representation import check_side, side_matrix, stack
 
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 3
 
 
-@dataclass(frozen=True)
 class IdealSpec:
     """A one-sided ideal given by its side and a tuple of generators."""
 
-    side: str
-    generators: tuple
+    __slots__ = ("side", "generators")
 
-    def __post_init__(self):
-        check_side(self.side)
-        gens = tuple(self.generators)
+    def __init__(self, side: str, generators):
+        check_side(side)
+        gens = tuple(generators)
         if not gens:
             raise SpecError("ideal needs at least one generator")
         for g in gens:
@@ -72,7 +72,8 @@ class IdealSpec:
                 raise SpecError(f"generator {g!r} is not an algebra element")
         for g in gens[1:]:
             _check_context(gens[0], g)
-        object.__setattr__(self, "generators", gens)
+        self.side = side
+        self.generators = gens
 
     @property
     def field(self):
@@ -190,6 +191,29 @@ def _cyclic_idempotent(F, g, n: int):
     return e
 
 
+def _cyclic_code_rref(F, g, n: int) -> RrefResult:
+    """RREF of the code of (g): row i < k = n - deg g is y^i - y^k (y^(i-k) mod g), a
+    multiple of g with pivot i; g(0) != 0 lets y^(i+1-k) mod g be divided by y."""
+    d, k, g1 = g.size - 1, n + 1 - g.size, F.mul(g, F.inv(int(g[0])))
+    rows, r = np.eye(k, n, dtype=np.int64), np.eye(1, d + 1, dtype=np.int64)[0]
+    for i in range(k - 1, -1, -1):
+        if r[0]:
+            r = F.sub(r, F.mul(g1, int(r[0])))
+        r = np.append(r[1:], 0)
+        rows[i, k:] = r[:d]
+    rows[:, k:] = F.neg(rows[:, k:])
+    return RrefResult(FMatrix(F, rows, validate=False), k, tuple(range(k)))
+
+
+def _ideal_rref(spec: IdealSpec) -> RrefResult:
+    """The ideal's RREF basis: built from g on cyclic:n in catalogue order, where
+    basis element i is y^i, else by eliminating the stacked matrices."""
+    cyclic = _cyclic_gcd(spec.generators)
+    if cyclic is not None and np.array_equal(cyclic[0], np.arange(spec.group.n)):
+        return _cyclic_code_rref(spec.field, cyclic[1], spec.group.n)
+    return rref(stack(spec.generators, spec.side))
+
+
 def dim_ideal(spec: IdealSpec) -> int:
     """Dimension over F of the ideal: a polynomial route, else the rank of the stacked matrices."""
     d = _route_dim(spec)
@@ -237,11 +261,12 @@ def annihilator_basis(f: AlgebraElem, side: str = "right") -> list:
     side='right' is {a : f*a = 0}; its coefficient vectors are the starred
     kernel vectors of the right-regular matrix of f (v is in the kernel
     exactly when v* kills f from the right).  side='left' is {a : a*f = 0},
-    the kernel of the right-regular matrix of f* taken directly.
+    the kernel of the right-regular matrix of f* taken directly.  The kernel
+    is the null space of the left ideal's RREF, as for build_code's parity rows.
     """
     check_side(side)
     target = f if side == "right" else f.star()
-    vecs = kernel_basis(rho_matrix(target))
+    vecs = _kernel_vectors(_ideal_rref(IdealSpec("left", (target,))), f.group.n)
     out = []
     for v in vecs:
         elem = AlgebraElem(f.field, f.group, v, validate=False)

@@ -2,9 +2,9 @@
 
 Identifying F[G] with F^n through the coefficient map turns an ideal into a
 linear [n, k] code over F.  The generator matrix is the reduced row echelon
-basis of the ideal, read off its gcd over cyclic:n (_cyclic_code_rref below)
-and off the stacked representation matrices otherwise, so equal ideals always
-yield byte-identical exports; the parity rows come from the same RREF.
+basis of the ideal (dimension._ideal_rref: built from its gcd over cyclic:n, else
+by elimination), so equal ideals always yield byte-identical exports; the parity
+rows come from the same RREF, and so does annihilator_basis.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dimension import IdealSpec, _cyclic_gcd
+from .dimension import IdealSpec, _ideal_rref
 from .errors import BudgetExceededError, DomainError, SpecError
 from .field import Field
 from .linalg import FMatrix, RrefResult, _kernel_vectors, rref
@@ -35,24 +35,7 @@ class GroupCode(NamedTuple):
 
 def build_code(spec: IdealSpec) -> GroupCode:
     """Code of the ideal; raises on the zero ideal (no code to build)."""
-    cyclic = _cyclic_gcd(spec.generators)
-    if cyclic is not None and np.array_equal(cyclic[0], np.arange(spec.group.n)):
-        return _code(spec, _cyclic_code_rref(spec.field, cyclic[1], spec.group.n))
-    return _build_code_rank(spec)
-
-
-def _cyclic_code_rref(F, g, n: int) -> RrefResult:
-    """RREF of the code of (g): row i < k = n - deg g is y^i - y^k (y^(i-k) mod g), a
-    multiple of g with pivot i; g(0) != 0 lets y^(i+1-k) mod g be divided by y."""
-    d, k, g1 = g.size - 1, n + 1 - g.size, F.mul(g, F.inv(int(g[0])))
-    rows, r = np.eye(k, n, dtype=np.int64), np.eye(1, d + 1, dtype=np.int64)[0]
-    for i in range(k - 1, -1, -1):
-        if r[0]:
-            r = F.sub(r, F.mul(g1, int(r[0])))
-        r = np.append(r[1:], 0)
-        rows[i, k:] = r[:d]
-    rows[:, k:] = F.neg(rows[:, k:])
-    return RrefResult(FMatrix(F, rows, validate=False), k, tuple(range(k)))
+    return _code(spec, _ideal_rref(spec))
 
 
 def _build_code_rank(spec: IdealSpec) -> GroupCode:
@@ -92,8 +75,10 @@ def min_distance(code: GroupCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight over all nonzero codewords, by full enumeration.
 
     Refuses when q^k exceeds the budget; the caller can raise it explicitly
-    for a deliberate long run.
+    for a deliberate long run.  A negative budget is malformed (SpecError).
     """
+    if budget < 0:
+        raise SpecError(f"budget must be >= 0, got {budget}")
     f = code.field
     total = f.q ** code.k
     if total > budget:

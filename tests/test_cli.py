@@ -277,6 +277,15 @@ def test_code_budget_skip(capsys):
     assert rec["d_skipped"] == "q^k = 8 exceeds budget 4"
 
 
+def test_code_negative_budget_is_a_spec_error(capsys):
+    code, out, err = run_cli(capsys, "code", *C6_F2, "--budget", "-5")
+    assert code == 2
+    assert out == "" and "--budget: budget must be >= 0, got -5" in err
+    code, out, _ = run_cli(capsys, "code", *C6_F2, "--budget", "0")  # 0 skips d
+    assert code == 0
+    assert "d skipped: q^k = 8 exceeds budget 0" in out
+
+
 def test_code_zero_ideal(capsys):
     code, out, err = run_cli(capsys, "code", "--group", "cyclic:4",
                              "--field", "gf:2", "--elem", "")

@@ -123,6 +123,14 @@ def test_min_distance_budget():
         min_distance(code, budget=1)
 
 
+def test_min_distance_refuses_a_negative_budget():
+    code = _code("gf:2", "cyclic:6", (1, 0, 0, 1, 0, 0))
+    with pytest.raises(SpecError, match="budget must be >= 0"):
+        min_distance(code, budget=-5)
+    with pytest.raises(BudgetExceededError):
+        min_distance(code, budget=0)
+
+
 def test_zero_ideal_has_no_code():
     f, g = _ctx("gf:2", "cyclic:4")
     with pytest.raises(DomainError):

@@ -1,11 +1,11 @@
 """The polynomial routes against elimination.
 
 Every route answer (dimension, membership, idempotent generator, code
-export) must equal the private rank path it replaces, on cyclic groups in
-catalogue order, in a shuffled Cayley file and as a coprime product.  The
-coset route (Hermite form over F[y] on the cosets of a largest cyclic
-subgroup) must equal elimination on every group, called directly below the
-gate and through dim_ideal above it.
+export, annihilator) must equal the private rank path it replaces, on cyclic
+groups in catalogue order, in a shuffled Cayley file and as a coprime
+product.  The coset route (Hermite form over F[y] on the cosets of a largest
+cyclic subgroup) must equal elimination on every group, called directly below
+the gate and through dim_ideal above it.
 """
 
 import functools
@@ -14,15 +14,19 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupalg import linalg
 from groupalg.algebra import AlgebraElem
 from groupalg.dimension import IdealSpec, _coset_dim, _coset_index, _dim_rank, \
-    _idempotent_rank, _largest_cycle, _membership_rank, _route, _route_dim, dim_ideal, \
-    ideal_membership, idempotent_generator
+    _idempotent_rank, _largest_cycle, _membership_rank, _route, _route_dim, \
+    annihilator_basis, dim_ideal, ideal_membership, idempotent_generator
 from groupalg.field import parse_field_spec
 from groupalg.gcode import _build_code_rank, build_code, code_to_text
 from groupalg.groups import cayley_to_text, group_from_cayley_text, make_group
+from groupalg.linalg import kernel_basis
+from groupalg.representation import rho_matrix
 
 FIELDS = ("gf:2", "gf:3", "gf:5", "gf:7", "gf:2^2", "gf:3^2")
 CYCLIC = ("cyclic:1", "cyclic:2", "cyclic:6", "cyclic:8", "cyclic:9", "cyclic:15", "cyclic:24",
@@ -76,6 +80,13 @@ def _elements(draw, gspec, count):
     return out
 
 
+def _annihilator_elim(f, side):
+    """The elimination reference: kernel of rho(f), starred, or kernel of rho(f*)."""
+    target = f if side == "right" else f.star()
+    vecs = [AlgebraElem(f.field, f.group, v) for v in kernel_basis(rho_matrix(target))]
+    return [v.star() for v in vecs] if side == "right" else vecs
+
+
 def _agree(gens, side, member):
     """Every route answer equals the rank path's; returns the dimension."""
     spec = IdealSpec(side, tuple(gens))
@@ -88,6 +99,9 @@ def _agree(gens, side, member):
         assert idempotent_generator(f, side) == _idempotent_rank(f, side)
     if d:
         assert code_to_text(build_code(spec)) == code_to_text(_build_code_rank(spec))
+    for f in gens:
+        for s in ("left", "right"):
+            assert annihilator_basis(f, s) == _annihilator_elim(f, s)
     return d
 
 
@@ -115,6 +129,17 @@ def test_coset_route_matches_rank(data):
     assert _coset_dim(spec, _coset_index(g, _largest_cycle(g.mul))) == _dim_rank(spec)
     member = gens[0] * gens[-1] if side == "left" else gens[-1] * gens[0]
     _agree(gens, side, member)
+
+
+def test_every_listed_group_agrees():
+    # the derandomized draws above leave some groups out; one fixed case for each
+    rng = random.Random(18)
+    for gspec in dict.fromkeys(CYCLIC + COSETS):
+        g, f = _group(gspec), parse_field_spec(rng.choice(FIELDS))
+        r = AlgebraElem(f, g, [rng.randrange(f.q) for _ in range(g.n)])
+        a = (AlgebraElem.one(f, g) - AlgebraElem.basis(f, g, min(1, g.n - 1))) * r
+        for side in ("left", "right"):
+            _agree([a, AlgebraElem.zero(f, g)], side, r * a if side == "left" else a * r)
 
 
 def test_coset_route_above_the_gate():
@@ -192,6 +217,34 @@ def test_cyclic_dim_allocates_no_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_cyclic_annihilators_and_codes_do_not_eliminate(monkeypatch):
+    def refuse(field, a, reduced):
+        raise AssertionError("elimination reached")
+
+    rng = random.Random(18)
+    cases = []
+    for gspec, fspec in (("cyclic:1", "gf:2"), ("cyclic:8", "gf:2"), ("cyclic:12", "gf:3"),
+                         ("cyclic:15", "gf:2^2"), ("cyclic:64", "gf:5")):
+        f, g = parse_field_spec(fspec), make_group(gspec)
+        u = AlgebraElem.one(f, g) - AlgebraElem.basis(f, g, min(1, g.n - 1))
+        r = AlgebraElem(f, g, [rng.randrange(f.q) for _ in range(g.n)])
+        for a in (AlgebraElem.zero(f, g), AlgebraElem.one(f, g), r, u * r, u * u * u * r):
+            cases.append((a, {s: _annihilator_elim(a, s) for s in ("left", "right")},
+                          None if a.is_zero else code_to_text(_build_code_rank(
+                              IdealSpec("left", (a,))))))
+    monkeypatch.setattr(linalg, "_eliminate", refuse)  # under rank, rref and kernel_basis
+    for a, ann, code in cases:
+        for side in ("left", "right"):
+            assert annihilator_basis(a, side) == ann[side]
+            if code is not None:  # commutative: both sides span the same code
+                assert code_to_text(build_code(IdealSpec(side, (a,)))) == code
+    # the patch is live: a group outside catalogue cyclic order still eliminates
+    f = parse_field_spec("gf:2")
+    for g in (make_group("dihedral:3"), _group("shuffled:12")):
+        with pytest.raises(AssertionError, match="elimination reached"):
+            annihilator_basis(AlgebraElem.one(f, g))
 
 
 def test_modular_cyclic_idempotents():

@@ -1,14 +1,17 @@
 """Import-structure guards on src/groupalg, read off the source with ast.
 
 poly.py sits below field.py and linalg.py, so it may import no groupalg module
-but errors; and no module imports inside a function, which is how an import
-cycle (field.py reaching into linalg.py, say) would hide.
+but errors; no module imports inside a function, which is how an import
+cycle (field.py reaching into linalg.py, say) would hide; and only dimension.py
+names the route internals, so it alone chooses between a polynomial route and
+elimination.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "groupalg"
+ROUTE_INTERNALS = {"_route", "_cyclic_gcd", "_coset_index", "_largest_cycle"}
 
 
 def _groupalg_imports(tree):
@@ -22,6 +25,13 @@ def _groupalg_imports(tree):
         elif isinstance(node, ast.Import):
             yield from ((node.lineno, a.name.partition(".")[2] or "groupalg")
                         for a in node.names if a.name.split(".")[0] == "groupalg")
+
+
+def _imported_names(tree):
+    """(line, name) for every name that a from-import statement in tree binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, a.name) for a in node.names)
 
 
 def test_poly_imports_no_groupalg_module_but_errors():
@@ -40,8 +50,19 @@ def test_no_module_imports_inside_a_function():
     assert not bad, f"imports inside functions: {bad}"
 
 
+def test_only_dimension_imports_the_route_internals():
+    bad = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+           if path.name != "dimension.py"
+           for line, name in _imported_names(ast.parse(path.read_text()))
+           if name in ROUTE_INTERNALS]
+    assert not bad, f"route internals imported outside dimension.py: {bad}"
+
+
 def test_the_guards_see_the_imports_they_forbid():
     tree = ast.parse("from .linalg import _gcd\nfrom . import field\nimport groupalg.dimension\n"
                      "from .errors import SpecError\n")
     assert [mod for _, mod in _groupalg_imports(tree)] == \
         ["linalg", "field", "dimension", "errors"]
+    tree = ast.parse("from .dimension import IdealSpec, _cyclic_gcd\nimport groupalg.dimension\n")
+    assert [name for _, name in _imported_names(tree) if name in ROUTE_INTERNALS] == \
+        ["_cyclic_gcd"]
