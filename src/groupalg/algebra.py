@@ -37,12 +37,11 @@ class AlgebraElem:
     def __init__(self, field: Field, group: Group, coeffs, validate: bool = True):
         self.field = field
         self.group = group
-        arr = np.array(coeffs, dtype=np.int64).reshape(-1)
+        arr = field.encodings(coeffs) if validate else np.array(coeffs, dtype=np.int64)
+        arr = arr.reshape(-1)
         if arr.shape != (group.n,):
             raise SpecError(
                 f"coefficient vector has length {arr.size}, group order is {group.n}")
-        if validate:
-            field.check_range(arr)
         self.coeffs = arr
 
     @classmethod

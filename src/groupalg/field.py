@@ -399,6 +399,25 @@ class Field:
         if a.size and (a.min() < 0 or a.max() >= self.q):
             raise SpecError(f"element encoding out of range [0, {self.q})")
 
+    def encodings(self, a) -> np.ndarray:
+        """A fresh int64 array of the element encodings in a.  Raises SpecError on
+        any value that is not an integer in [0, q): a float or object value must
+        equal its int64 cast (a cast alone truncates 1.9 to 1), integer and bool
+        input is only range-checked."""
+        a = np.asarray(a)
+        kind = a.dtype.kind
+        try:
+            if kind not in "iubfO":
+                raise TypeError
+            with np.errstate(invalid="ignore"):
+                out = a.astype(np.int64)
+            if kind in "fO" and not (out == a).all():
+                raise TypeError
+        except (TypeError, ValueError, OverflowError):
+            raise SpecError("element encodings must be integers") from None
+        self.check_range(out)
+        return out
+
     # -- identity / ordering --
 
     @property

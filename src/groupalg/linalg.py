@@ -33,11 +33,9 @@ class FMatrix:
         self.field = field
         # a private copy even when validate=False: adopting internal arrays saved no
         # peak memory and slowed rank in a fresh process (malloc's heap trimming)
-        arr = np.array(data, dtype=np.int64)
+        arr = field.encodings(data) if validate else np.array(data, dtype=np.int64)
         if arr.ndim != 2:
             raise SpecError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        if validate:
-            field.check_range(arr)
         self.data = arr
 
     @property

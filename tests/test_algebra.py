@@ -74,6 +74,13 @@ def test_scale_and_scalar_distribution():
         a.scale(5)
 
 
+def test_elements_refuse_non_integral_coefficients():
+    f, g = _ctx("gf:3", "cyclic:3")
+    with pytest.raises(SpecError, match="integers"):
+        AlgebraElem(f, g, [0.5, 1.9, 2.2])
+    assert AlgebraElem(f, g, [0.0, 1.0, 2.0]).coeffs.tolist() == [0, 1, 2]
+
+
 def test_star_is_an_involution_and_antihomomorphism():
     rng = random.Random(24)
     for fspec, gspec in (("gf:5", "symmetric:3"), ("gf:2^2", "dihedral:4")):

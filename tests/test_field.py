@@ -318,6 +318,21 @@ def test_check_range():
     f.check_range(np.array([0, 1, 2]))
 
 
+def test_encodings_refuse_non_integral_values():
+    f = make_field(3)
+    for bad in ([0.5, 1.9, 2.2], [float("nan")], [float("inf")], [2 ** 70], ["1"], [1j], [3],
+                [-1.0]):
+        with pytest.raises(SpecError):
+            f.encodings(bad)
+    for good in ([0.0, 1.0, 2.0], [True, False], np.array([2, 1], dtype=np.uint8), [[1, 2]]):
+        out = f.encodings(good)
+        assert out.dtype == np.int64 and out.tolist() == np.asarray(good).astype(int).tolist()
+    src = np.array([1, 2], dtype=np.int64)
+    out = f.encodings(src)
+    out[0] = 0
+    assert src[0] == 1  # a fresh array, never a view of the input
+
+
 def test_elements_order():
     f = make_field(2, 2)
     assert list(f.elements()) == [0, 1, 2, 3]

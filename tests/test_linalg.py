@@ -109,6 +109,13 @@ def test_stack_matrices():
         stack_matrices([a, FMatrix(f, [[1], [2]])])
 
 
+def test_matrix_refuses_non_integral_entries():
+    f = make_field(5)
+    with pytest.raises(SpecError, match="integers"):
+        FMatrix(f, [[1, 2.5], [0, 1]])
+    assert FMatrix(f, [[1.0, 4.0]]).data.tolist() == [[1, 4]]
+
+
 def test_matrix_text_roundtrip():
     rng = random.Random(13)
     for spec in ("gf:5", "gf:2^3"):
