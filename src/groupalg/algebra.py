@@ -95,9 +95,9 @@ class AlgebraElem:
         return AlgebraElem(self.field, self.group, prod, validate=False)
 
     def scale(self, c) -> "AlgebraElem":
-        self.field.check_range(int(c))
+        c = int(self.field.encodings(c))
         return AlgebraElem(self.field, self.group,
-                           self.field.mul(self.coeffs, int(c)), validate=False)
+                           self.field.mul(self.coeffs, c), validate=False)
 
     def star(self) -> "AlgebraElem":
         """The involution sum a_i g_i -> sum a_i g_i^{-1}."""

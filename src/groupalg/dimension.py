@@ -393,6 +393,8 @@ def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
     extension fields (over GF(2): groups of order 1024 and more).
     """
     check_side(side)
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise SpecError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
     return _mulmuley_dim(

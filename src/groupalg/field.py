@@ -10,16 +10,17 @@ reproducible random draws).
 All arithmetic methods accept plain ints or numpy int64 arrays, broadcast
 like numpy ufuncs, and are exact.  There is no floating point anywhere.
 
-Extension fields (m > 1) are backed by discrete log/antilog tables, so their
-order is capped at 2**20.  Prime fields have no such cap beyond int64
-safety.  Building an extension field is linear algebra over make_field(p) on
-poly.py's multiplication matrices mod the modulus: Rabin's irreducibility test
-picks the default modulus (the lex-first monic irreducible) and checks a given
-one, powers of the candidate's matrix find the primitive element, and the
-antilog table is the orbit of 1 under that matrix.  This module holds no
-polynomial arithmetic of its own.  Field.extension picks every extension that evaluation nodes live in
-(Mulmuley's routes and charpoly_xm) and refuses one past the cap with
-DomainError, the CLI's exit 3, before any table is built.
+Prime fields are plain integers mod p up to int64 safety and keep no
+per-element state.  Extension fields (m > 1) keep log, antilog and inverse
+tables, so their order is capped at 2**20.  Building one is linear algebra
+over make_field(p) on poly.py's multiplication matrices mod the modulus:
+Rabin's irreducibility test picks the default modulus (the lex-first monic
+irreducible) and checks a given one, powers of the candidate's matrix find the
+primitive element, and the antilog table is the orbit of 1 under that matrix.
+This module holds no polynomial arithmetic of its own.  Field.extension picks
+every extension that evaluation nodes live in (Mulmuley's routes and
+charpoly_xm) and refuses one past the cap with DomainError, the CLI's exit 3,
+before any table is built.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .poly import FPoly, _gcd, _orbit, _vecpow, _xmat
 _EXT_ORDER_LIMIT = 1 << 20   # extension fields need full log/exp tables
 _DIGIT_TABLE_LIMIT = 1 << 16  # digit forms of all q elements are kept up to this order
 _XOR_TABLE_MIN = 1 << 13     # GF(2^m) antilogs by XOR from here: faster than digits
-_PRIME_TABLE_LIMIT = 1 << 16  # inverse tables for prime fields
 _MAX_PRIME = (1 << 31) - 1    # keeps a*b exact in int64
 _DOT_BLOCK = 1 << 22          # cap on temporary elements in a blocked dot
 
@@ -46,6 +46,19 @@ def _ret(x):
     if x.ndim == 0:
         return int(x)
     return x
+
+
+def _integers(values, what: str) -> list:
+    """values as Python ints with no array round trip; SpecError on any value
+    that is not an integer (a cast alone truncates 1.9 to 1)."""
+    values = list(values)
+    try:
+        out = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != values:
+        raise SpecError(f"{what} must be integers")
+    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -132,7 +145,7 @@ class Field:
         if modulus is None:
             modulus = _default_modulus(p, m)
         else:
-            modulus = tuple(int(c) for c in modulus)
+            modulus = tuple(_integers(modulus, "modulus coefficients"))
             if len(modulus) != m + 1:
                 raise SpecError(
                     f"modulus must have degree {m} ({m + 1} coefficients), "
@@ -148,26 +161,13 @@ class Field:
         self.q = p ** m
         self.modulus = modulus
         self._pow_vec = p ** np.arange(m, dtype=np.int64)
-        self._inv_table = None
         self._digit_table = None
-        if m == 1:
-            if p <= _PRIME_TABLE_LIMIT:
-                self._inv_table = self._build_prime_inv()
-        else:
+        if m > 1:
             self._build_ext_tables()
             if p > 2 and self.q <= _DIGIT_TABLE_LIMIT:  # GF(2^m) reads no digits
                 self._digit_table = self._digits_raw(np.arange(self.q, dtype=np.int64))
 
     # -- construction helpers --
-
-    def _build_prime_inv(self):
-        p = self.p
-        inv = np.zeros(p, dtype=np.int64)
-        if p > 1:
-            inv[1] = 1
-        for a in range(2, p):
-            inv[a] = (-(p // a) * inv[p % a]) % p
-        return inv
 
     def _build_ext_tables(self):
         p, m, q, f = self.p, self.m, self.q, self.modulus
@@ -267,35 +267,32 @@ class Field:
         return _ret(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a):
-        if type(a) is int:  # scalar fast path: a table read or one pow, no array round trip
+        if type(a) is int:  # scalar fast path: Euclid or a table read, no array round trip
             if not a:
                 raise ZeroDivisionError("inversion of zero field element")
-            t = self._inv_table
-            return int(t[a]) if t is not None else pow(a, self.p - 2, self.p)
+            return pow(a, -1, self.p) if self.m == 1 else int(self._inv_table[a])
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of zero field element")
-        if self._inv_table is not None:
-            return _ret(self._inv_table[a])
-        p = self.p  # large prime field, elementwise exact pow
-        return _ret(np.asarray(np.frompyfunc(lambda v: pow(int(v), p - 2, p), 1, 1)(a),
-                               dtype=np.int64))
+        return self.pow(a, self.p - 2) if self.m == 1 else _ret(self._inv_table[a])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
+        # square-and-multiply over mul: residues below 2^31 multiply to less than 2^62,
+        # exact in int64.  e is not reduced mod q - 1: 0^e = 0 for e > 0 and 0^0 = 1.
         a = np.asarray(a, dtype=np.int64)
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if e == 0:
-            return _ret(np.ones_like(a))
-        if self.m > 1:
-            t = self._exp[(self._log[a] * (e % (self.q - 1))) % (self.q - 1)]
-            return _ret(np.where(a == 0, 0, t))
-        p = self.p
-        return _ret(np.asarray(np.frompyfunc(lambda v: pow(int(v), e, p), 1, 1)(a),
-                               dtype=np.int64))
+        out = np.ones_like(a)
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return _ret(np.asarray(out))
 
     def sum(self, a, axis=None):
         """Field sum along an axis (axis=None sums everything): one integer
@@ -366,7 +363,7 @@ class Field:
     # -- encoding helpers --
 
     def from_coeffs(self, coeffs) -> int:
-        coeffs = [int(c) for c in coeffs]
+        coeffs = _integers(coeffs, "coefficients")
         if len(coeffs) > self.m:
             raise SpecError(f"too many coefficients for degree-{self.m} field")
         if any(c < 0 or c >= self.p for c in coeffs):
@@ -460,26 +457,27 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
     Returns:
         A Field instance; repeated calls with equal arguments share it.
     """
-    if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
     if not isinstance(p, int) or not isinstance(m, int):
         raise SpecError("field parameters must be integers")
-    return _field_cached(p, m, modulus)
+    return _field_cached(p, m, None if modulus is None else tuple(modulus))
 
 
 class Embedding:
-    """Field homomorphism GF(p^m) -> GF(p^(m*t)) as a lookup table.
+    """Field homomorphism GF(p^m) -> GF(p^(m*t)).
 
-    The image of the source generator is the smallest root (in the
-    deterministic element order) of the source modulus in the destination.
+    A prime-field source maps by identity: its encodings are the constants of
+    every extension (root is 0, the root of its modulus x).  Any other source
+    maps by a lookup table, sending its generator to the smallest root (in the
+    deterministic element order) of its modulus in the destination.
     """
 
     def __init__(self, src: Field, dst: Field):
         if src.p != dst.p or dst.m % src.m != 0:
             raise SpecError(
                 f"{dst!r} is not an extension of {src!r}")
-        self.src = src
-        self.dst = dst
+        self.src, self.dst, self.root, self._table = src, dst, 0, None
+        if src.m == 1:
+            return
         roots = np.nonzero(FPoly(dst, src.modulus).eval(dst.elements()) == 0)[0]
         if roots.size == 0:
             raise SpecError("modulus has no root in the destination field")
@@ -493,7 +491,8 @@ class Embedding:
         self._table = table
 
     def __call__(self, a):
-        return _ret(self._table[np.asarray(a, dtype=np.int64)])
+        a = np.asarray(a, dtype=np.int64)
+        return _ret(a.copy() if self._table is None else self._table[a])
 
 
 @functools.lru_cache(maxsize=None)

@@ -306,12 +306,10 @@ def lagrange_interpolate(field: Field, points) -> FPoly:
     pts = list(points)
     if not pts:
         raise SpecError("interpolation needs at least one point")
-    xs = np.array([int(x) for x, _ in pts], dtype=np.int64)
+    xs = field.encodings([x for x, _ in pts])
     if len(set(xs.tolist())) != xs.size:
         raise SpecError("duplicate interpolation node")
-    ys = np.array([[int(v) for _, v in pts]], dtype=np.int64)
-    field.check_range(xs)
-    field.check_range(ys)
+    ys = field.encodings([[v for _, v in pts]])
     return FPoly(field, _interp_many(field, xs, ys)[0])
 
 

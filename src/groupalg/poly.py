@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SpecError
 
 
 def _poly_mul(F, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,11 +174,11 @@ class FPoly:
 
     def __init__(self, field, coeffs):
         self.field = field
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        field.check_range(np.asarray(cs, dtype=np.int64))
-        self.coeffs = tuple(cs)
+        cs = field.encodings(coeffs)
+        if cs.ndim != 1:
+            raise SpecError("polynomial coefficients must be a flat sequence")
+        nz = np.flatnonzero(cs)
+        self.coeffs = tuple(cs[:nz[-1] + 1].tolist()) if nz.size else ()
 
     @classmethod
     def zero(cls, field) -> "FPoly":
@@ -186,7 +186,7 @@ class FPoly:
 
     @classmethod
     def const(cls, field, c) -> "FPoly":
-        return cls(field, (int(c),))
+        return cls(field, (c,))
 
     @property
     def degree(self) -> int:
@@ -227,10 +227,10 @@ class FPoly:
         return FPoly(f, _poly_mul(f, np.array(self.coeffs), np.array(other.coeffs)))
 
     def scale(self, c) -> "FPoly":
-        f = self.field
+        f, c = self.field, int(self.field.encodings(c))
         if not self.coeffs:
             return self
-        return FPoly(f, np.atleast_1d(f.mul(np.asarray(self.coeffs, np.int64), int(c))))
+        return FPoly(f, np.atleast_1d(f.mul(np.asarray(self.coeffs, np.int64), c)))
 
     def eval(self, x):
         """Horner evaluation; x may be a scalar or an array."""

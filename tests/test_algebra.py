@@ -72,6 +72,9 @@ def test_scale_and_scalar_distribution():
     assert (a.scale(2) + a.scale(3)).is_zero  # 2+3 = 0 mod 5
     with pytest.raises(SpecError):
         a.scale(5)
+    with pytest.raises(SpecError, match="integers"):
+        a.scale(1.9)  # was a scale by 1
+    assert a.scale(3.0) == a.scale(3)
 
 
 def test_elements_refuse_non_integral_coefficients():

@@ -121,6 +121,15 @@ def test_dim_methods_agree(capsys):
     assert records["mulmuley-random"]["trials"] == 3
 
 
+def test_dim_mulmuley_at_the_largest_prime(capsys):
+    # the matrix enters gf:2147483647 by identity; no per-element table is built
+    for method in ("mulmuley-exact", "mulmuley-random"):
+        code, out, err = run_cli(capsys, "dim", "--method", method, "--field", "gf:2147483647",
+                                 "--group", "cyclic:4", "--elem", "1:1,2:1", "--json")
+        assert (code, err) == (0, ""), method
+        assert json.loads(out)["dim"] == 3, method
+
+
 def test_dim_charpoly_bound_and_bound_alias(capsys):
     argv = [*S3_ORDER, "--field", "gf:5", "--elem", "1:1,2:1", "--json"]
     code, out1, _ = run_cli(capsys, "dim", "--method", "charpoly-bound", *argv)

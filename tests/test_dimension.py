@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,27 @@ def test_mulmuley_in_gf1031_stays_in_the_base_field():
     assert dim_mulmuley_random(a, "left") == d
 
 
+def test_mulmuley_at_the_largest_prime_runs_in_the_base_field():
+    # the matrix enters gf:2147483647, its own node field, by identity: an embedding
+    # table over the source field's elements would need about 76 GiB here
+    f, g = _ctx("gf:2147483647", "symmetric:3")
+    rng = random.Random(52)
+    dims = []
+    for a in _modular_elements(f, g, rng) + [random_element(f, g, rng)]:
+        d = dim_ideal(_left(a))
+        dims.append(d)
+        tracemalloc.start()
+        try:
+            got = (dim_mulmuley_exact(a, "left"), dim_mulmuley_random(a, "left"))
+            xc = mulmuley_charpoly(a, "left")  # charpoly_xm on the doubled matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (d, d) and (xc.size - xc.k) // 2 == d and xc.field == f
+        assert peak < 1 << 20, peak
+    assert dims[0] < 6 and dims[1] < 6 and dims[2] == 6, dims
+
+
 def test_mulmuley_exact_does_not_interpolate(monkeypatch):
     def refuse(*args):
         raise AssertionError("dim_mulmuley_exact interpolated")
@@ -344,6 +366,9 @@ def test_mulmuley_random_agrees_and_is_deterministic():
     a = AlgebraElem.one(*_ctx("gf:2", "cyclic:4"))
     with pytest.raises(SpecError):
         dim_mulmuley_random(a, trials=0)
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(SpecError, match="trials must be an int"):
+            dim_mulmuley_random(a, trials=bad)
 
 
 def test_mulmuley_beyond_the_extension_limit_is_a_domain_error():

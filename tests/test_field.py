@@ -118,6 +118,18 @@ def test_coeff_encoding_roundtrip():
         f.from_coeffs((0,) * 4)
 
 
+def test_from_coeffs_and_modulus_refuse_non_integral_values():
+    f = make_field(5)
+    with pytest.raises(SpecError, match="integers"):
+        f.from_coeffs([1.5])  # was 1
+    assert f.from_coeffs([3]) == f.from_coeffs([3.0]) == f.from_coeffs([np.int64(3)]) == 3
+    with pytest.raises(SpecError, match="integers"):
+        make_field(5, 2, [2.7, 0, 1])  # was the field with modulus (2, 0, 1)
+    with pytest.raises(SpecError, match="integers"):
+        Field(5, 2, [2.7, 0, 1])
+    assert make_field(5, 2, [2, 0, 1]).modulus == (2, 0, 1)
+
+
 def test_vector_ops_match_scalar_loops():
     rng = random.Random(11)
     for spec in ("gf:5", "gf:2^3", "gf:3^2"):
@@ -271,6 +283,30 @@ def test_pow():
         assert f.pow(0, 3) == 0
 
 
+def test_large_prime_array_inv_and_pow_match_python_pow():
+    # one square-and-multiply serves every field; e is never reduced mod p - 1
+    rng = random.Random(20)
+    for p in (65521, 2147483647):
+        f = make_field(p)
+        xs = [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(60)]
+        a = np.array(xs, dtype=np.int64)
+        assert f.inv(a).tolist() == [pow(x, -1, p) for x in xs]
+        for e in (0, 1, 2, 3, p - 2, p - 1, p, p + 5, 3 * p + 1, -1, -7, -(p + 2)):
+            assert f.pow(a, e).tolist() == [pow(x, e, p) for x in xs], (p, e)
+        z = np.zeros(3, dtype=np.int64)
+        for e in (0, 1, p - 1, p):
+            assert f.pow(z, e).tolist() == [pow(0, e, p)] * 3, (p, e)
+        with pytest.raises(ZeroDivisionError):
+            f.pow(z, -1)
+
+
+def test_prime_fields_keep_no_tables():
+    for p in (2, 5, 65521, 2147483647):
+        f = make_field(p)
+        assert [k for k, v in vars(f).items() if isinstance(v, np.ndarray) and v.size > 1] \
+            == [], p
+
+
 def test_scalar_results_are_plain_ints():
     # numpy integer scalars (np.int64) must not leak out of scalar arithmetic
     for spec in ("gf:5", "gf:2^2", "gf:3^2", "gf:2147483647"):
@@ -368,6 +404,23 @@ def test_identity_embedding():
     f = make_field(2, 3)
     emb = embedding(f, f)
     assert all(emb(a) == a for a in range(f.q))
+
+
+def test_prime_field_embeds_by_identity_with_no_table():
+    # gf:p -> gf:p^2 and gf:p -> gf:p; a table over gf:1000003 took 38 MiB to build
+    for p, m in ((1021, 2), (1000003, 1), (2, 1), (3, 2)):
+        src, dst = make_field(p), make_field(p, m)
+        tracemalloc.start()
+        try:
+            emb = field_module.Embedding(src, dst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (p, m, peak)
+        assert emb._table is None and emb.root == 0, (p, m)
+        xs = np.array([0, 1, p - 1, p // 2], dtype=np.int64)
+        assert emb(xs).tolist() == xs.tolist() and emb(p - 1) == p - 1
+        assert emb(xs) is not xs
 
 
 def test_larger_extension_tables():

@@ -229,6 +229,11 @@ def test_lagrange_interpolate():
     with pytest.raises(SpecError):
         lagrange_interpolate(f, [(1, 2), (1, 3)])
     assert lagrange_interpolate(f, [(4, 6)]) == FPoly(f, (6,))
+    g = make_field(5)
+    for bad in ([(1.5, 2), (2, 3.7)], [(1.5, 2), (2, 3)], [(1, 2), (2, 3.7)]):
+        with pytest.raises(SpecError, match="integers"):
+            lagrange_interpolate(g, bad)  # the first was FPoly([1, 1])
+    assert lagrange_interpolate(g, [(1, 2), (2, 3)]) == FPoly(g, (1, 1))
 
 
 def test_charpoly_xm_specialization_consistency():

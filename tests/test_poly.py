@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from groupalg.field import parse_field_spec
-from groupalg.poly import _cmul, _divmod, _gcd, _poly_mul, _trim
+from groupalg.errors import SpecError
+from groupalg.poly import FPoly, _cmul, _divmod, _gcd, _poly_mul, _trim
 
 import oracles
 from oracles import OracleField
@@ -94,3 +95,21 @@ def test_cyclic_product_matches_oracle(spec):
             want = oracles.poly_mod(o, oracles.poly_mul(o, oracles.poly_trim(a),
                                                         oracles.poly_trim(b)), ring)
             assert got == want, (n, a, b)
+
+
+def test_fpoly_refuses_non_integral_coefficients():
+    f = parse_field_spec("gf:5")
+    with pytest.raises(SpecError, match="integers"):
+        FPoly(f, [1.7, 2.2, 0.9])  # was (1, 2)
+    with pytest.raises(SpecError, match="integers"):
+        FPoly.const(f, 2.9)  # was (2,)
+    with pytest.raises(SpecError, match="integers"):
+        FPoly(f, [1, 2]).scale(1.9)  # scaled by 1
+    with pytest.raises(SpecError, match="integers"):
+        FPoly.zero(f).scale(1.9)
+    with pytest.raises(SpecError):
+        FPoly(f, [[1, 2]])
+    assert FPoly(f, [1.0, 2, np.int64(3), 0, 0]).coeffs == (1, 2, 3)
+    assert FPoly(f, np.array([0, 0])).coeffs == () and FPoly(f, ()).is_zero
+    assert FPoly.const(f, 2).coeffs == (2,) and FPoly.const(f, 0).is_zero
+    assert FPoly(f, [1, 2]).scale(3).coeffs == (3, 1)

@@ -4,7 +4,7 @@ poly.py sits below field.py and linalg.py, so it may import no groupalg module
 but errors; no module imports inside a function, which is how an import
 cycle (field.py reaching into linalg.py, say) would hide; and only dimension.py
 names the route internals, so it alone chooses between a polynomial route and
-elimination.
+elimination.  No module loops over elements in Python through np.frompyfunc.
 """
 
 import ast
@@ -66,3 +66,10 @@ def test_the_guards_see_the_imports_they_forbid():
     tree = ast.parse("from .dimension import IdealSpec, _cyclic_gcd\nimport groupalg.dimension\n")
     assert [name for _, name in _imported_names(tree) if name in ROUTE_INTERNALS] == \
         ["_cyclic_gcd"]
+
+
+def test_no_module_uses_frompyfunc():
+    bad = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+           for node in ast.walk(ast.parse(path.read_text()))
+           if isinstance(node, ast.Attribute) and node.attr == "frompyfunc"]
+    assert not bad, f"np.frompyfunc in {bad}"
