@@ -407,7 +407,8 @@ def test_identity_embedding():
 
 
 def test_prime_field_embeds_by_identity_with_no_table():
-    # gf:p -> gf:p^2 and gf:p -> gf:p; a table over gf:1000003 took 38 MiB to build
+    # gf:p -> gf:p^2 and gf:p -> gf:p; a table would hold all p elements (38 MiB to build
+    # at p = 1000003 when prime sources had one)
     for p, m in ((1021, 2), (1000003, 1), (2, 1), (3, 2)):
         src, dst = make_field(p), make_field(p, m)
         tracemalloc.start()
