@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .algebra import AlgebraElem, element_from_text, element_to_text, \
     parse_element_inline, random_element, read_element_file
 from .dimension import DimBound, IdealSpec, annihilator_basis, dim_bound_charpoly, \
-    dim_ideal, dim_mulmuley_exact, dim_mulmuley_random, ideal_membership, \
+    dim_ideal, dim_mulmuley_exact, dim_mulmuley_random, element_charpoly, ideal_membership, \
     idempotent_generator, mulmuley_charpoly
 from .errors import BudgetExceededError, DomainError, GroupAlgError, SpecError
 from .field import Field, embed, embedding, format_field_spec, make_field, \
@@ -31,7 +31,7 @@ __all__ = [
     "ORDER_CAP", "SpecError", "XCharPoly", "annihilator_basis", "build_code",
     "charpoly", "charpoly_xm", "closure_from_generators", "code_to_text",
     "dim_bound_charpoly", "dim_ideal", "dim_mulmuley_exact", "dim_mulmuley_random",
-    "element_from_text", "element_to_text", "embed", "embedding", "encode",
+    "element_charpoly", "element_from_text", "element_to_text", "embed", "embedding", "encode",
     "format_field_spec", "group_from_cayley_text", "ideal_membership",
     "idempotent_generator", "is_codeword", "kernel_basis", "lagrange_interpolate",
     "lambda_matrix", "load_cayley_file", "load_perm_file", "make_field",

@@ -25,12 +25,11 @@ from . import __version__
 from .algebra import AlgebraElem, parse_element_inline, read_element_file
 from .dimension import DEFAULT_SEED, DEFAULT_TRIALS, IdealSpec, annihilator_basis, \
     dim_bound_charpoly, dim_ideal, dim_mulmuley_exact, dim_mulmuley_random, \
-    idempotent_generator
+    element_charpoly, idempotent_generator
 from .errors import BudgetExceededError, DomainError, SpecError
 from .field import format_field_spec, parse_field_spec
 from .gcode import DEFAULT_BUDGET, build_code, code_to_text, min_distance
 from .groups import cayley_to_text, load_cayley_file, make_group, validate_group
-from .linalg import charpoly
 from .representation import rho_matrix, stack
 from .selftest import run_selftest
 
@@ -188,11 +187,11 @@ def _annihilator(args, gens):
 
 
 def _charpoly(args, gens):
-    mat = stack([_one(gens)], args.side)
-    cp = charpoly(mat)
+    f = _one(gens)
+    cp = element_charpoly(f, args.side)
     record = {"charpoly": cp.to_text().strip(), "k": cp.valuation()}
     lines = [f"charpoly = {record['charpoly']}", f"k = {record['k']}"]
-    return record, lines, ("matrix", mat.to_text)
+    return record, lines, ("matrix", lambda: stack([f], args.side).to_text())
 
 
 def _code(args, gens):

@@ -7,6 +7,19 @@ characteristic polynomial z^k * g(z), g(0) != 0, the dimension lies in
 [n - k, n - 1] when k >= 1 and equals n when k = 0; the lower bound is
 attained when k = 1 (the bounds meet) and whenever f is idempotent.
 
+On a cyclic group the charpoly comes from small blocks, with no n x n matrix
+(element_charpoly).  Read f as a polynomial in F[y]/(y^n - 1) and write n = m p^v,
+p the characteristic, p not dividing m.  Three facts give
+chi(z) = (prod over d | m of det(zI - M_d))^(p^v), M_d the phi(d) x phi(d) matrix of
+multiplication by f mod the cyclotomic polynomial Phi_d:
+- y^n - 1 = (y^m - 1)^(p^v), and multiplication by f on F[y]/(g^e) has the charpoly
+  of F[y]/(g) to the power e (filter by the ideals g^i);
+- y^m - 1 = prod over d | m of Phi_d, pairwise coprime since p does not divide m (CRT);
+- in characteristic p, (sum c_i z^i)^(p^v) = sum c_i^(p^v) z^(i p^v).
+(Lidl and Niederreiter, Finite Fields, 2.3, charpolys as norms; MacWilliams and
+Sloane, ch. 7, 5, the factors of y^n - 1.)  rho(f) is permutation-similar across basis
+orders and equals lambda(f) on a commutative group, so one charpoly serves both sides.
+
 Two further routes avoid computing the rank directly.  Both follow Mulmuley:
 with M the symmetrized block matrix [[0, F], [F^T, 0]] of size 2n and
 X = diag(1, x, ..., x^{2n-1}), the z-adic valuation of det(zI - X*M) with x
@@ -47,10 +60,10 @@ import numpy as np
 
 from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
-from .field import _prime_factors
-from .linalg import FMatrix, RrefResult, XCharPoly, _kernel_vectors, charpoly, charpoly_xm, \
-    rank, rref, solve, xm_charpoly_values
-from .poly import FPoly, _cmul, _divmod, _gcd, _hermite_dim, _ideal_gcd, _poly_mul, _trim
+from .linalg import FMatrix, RrefResult, XCharPoly, _charpoly_data, _kernel_vectors, charpoly, \
+    charpoly_xm, rank, rref, solve, xm_charpoly_values
+from .poly import FPoly, _cmul, _cyclotomic, _divmod, _gcd, _hermite_dim, _ideal_gcd, \
+    _poly_mul, _prime_factors, _trim
 from .representation import check_side, side_matrix, stack
 
 DEFAULT_SEED = 0
@@ -176,6 +189,54 @@ def _route_dim(spec):
     return None if kind is None else _coset_dim(spec, data)
 
 
+def _cyclic_charpoly(F, a):
+    """Coefficients of det(zI - rho(f)) for f = sum a_k y^k in F[y]/(y^n - 1).
+
+    With n = m p^v, p the characteristic and p not dividing m, it is the p^v-th
+    power of the product over d | m of det(zI - M_d), M_d the matrix of f mod Phi_d.
+    Row i of M_d is y^i f mod Phi_d: the i-th row of the circulant of f mod y^d - 1,
+    its columns j >= phi(d) folded back by the rows y^j mod Phi_d.
+    """
+    n, p = a.size, F.p
+    m, pv = n, 1
+    while m % p == 0:
+        m, pv = m // p, pv * p
+    b = F.sum(a.reshape(pv, m), axis=0) if pv > 1 else a
+    cp = np.ones(1, dtype=np.int64)
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        c = F.sum(b.reshape(m // d, d), axis=0) if d < m else b
+        phi = np.array(_cyclotomic(d), dtype=np.int64) % p  # F_p embeds by identity
+        k = phi.size - 1
+        if k == 1:  # d = 1 or 2: z - f(1) or z - f(-1)
+            block = np.array([F.neg(int(c[0])) if d == 1 else F.sub(int(c[1]), int(c[0])), 1])
+        else:
+            fold = np.zeros((d - k, k), dtype=np.int64)  # row j: y^(k+j) mod Phi_d
+            fold[0] = -phi[:k] % p
+            for j in range(1, d - k):
+                fold[j, 1:] = fold[j - 1, :-1]
+                fold[j] = (fold[j] - fold[j - 1, -1] * phi[:k]) % p
+            circ = c[(np.arange(d) - np.arange(k)[:, None]) % d]
+            block = _charpoly_data(F, F.add(circ[:, :k], F.dot(circ[:, k:], fold)))
+        cp = _poly_mul(F, *sorted((block, cp), key=len))  # loops over the smaller factor
+    if pv == 1:
+        return cp
+    # in characteristic p, (sum c_i z^i)^(p^v) = sum c_i^(p^v) z^(i p^v)
+    out = np.zeros((cp.size - 1) * pv + 1, dtype=np.int64)
+    out[::pv] = F.pow(cp, pv)
+    return out
+
+
+def element_charpoly(f: AlgebraElem, side: str = "left") -> FPoly:
+    """det(zI - F) for F = side_matrix(f, side).  On a cyclic group F is never built:
+    the charpoly is a product of cyclotomic blocks (_cyclic_charpoly), the same on
+    both sides and in every basis order.  Other groups reduce F to Hessenberg form."""
+    check_side(side)
+    kind, order = _route(f.group)
+    if kind != "cyclic":
+        return charpoly(side_matrix(f, side))
+    return FPoly(f.field, _cyclic_charpoly(f.field, f.coeffs[order]))
+
+
 def _cyclic_idempotent(F, g, n: int):
     """The idempotent generator of the nonzero ideal (g) of F[y]/(y^n - 1), or
     None when gcd(g, h) != 1; e^2 = e and gcd(e, y^n - 1) = g are verified."""
@@ -231,15 +292,25 @@ def dim_bound_charpoly(f: AlgebraElem, side: str = "left") -> DimBound:
     the representation matrix: k = 0 means the matrix is invertible and the
     ideal is all of A (dim n, exact); otherwise n - k <= dim <= n - 1, and
     the lower bound is the dimension when k = 1 (the bounds meet) and
-    whenever f is idempotent.
+    whenever f is idempotent.  The charpoly is element_charpoly's: cyclotomic
+    blocks on a cyclic group, a Hessenberg reduction of the matrix otherwise.
     """
-    cp = charpoly(side_matrix(f, side))
+    cp = element_charpoly(f, side)
     k = cp.valuation()
     n = f.group.n
     if k == 0:
         return DimBound(lower=n, upper=n, exact=True, k=0, charpoly=cp)
-    exact = k == 1 or f.is_idempotent()
+    exact = k == 1 or _is_idempotent(f)
     return DimBound(lower=n - k, upper=n - 1, exact=exact, k=k, charpoly=cp)
+
+
+def _is_idempotent(f: AlgebraElem) -> bool:
+    """f * f == f; on a cyclic group as a product mod y^n - 1, with no n x n gather."""
+    kind, order = _route(f.group)
+    if kind != "cyclic":
+        return f.is_idempotent()
+    a = f.coeffs[order]
+    return np.array_equal(_cmul(f.field, a, a), a)
 
 
 def ideal_membership(h: AlgebraElem, spec: IdealSpec) -> bool:

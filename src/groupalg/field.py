@@ -31,7 +31,7 @@ import itertools
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .poly import FPoly, _gcd, _orbit, _vecpow, _xmat
+from .poly import FPoly, _gcd, _orbit, _prime_factors, _vecpow, _xmat
 
 _EXT_ORDER_LIMIT = 1 << 20   # extension fields need full log/exp tables
 _DIGIT_TABLE_LIMIT = 1 << 16  # digit forms of all q elements are kept up to this order
@@ -72,20 +72,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _is_irreducible(f, p: int) -> bool:

@@ -6,6 +6,8 @@ other groupalg module except errors, so field.py and linalg.py can both build
 on it:
 - products, division with remainder, gcd with a cofactor, and products mod
   y^n - 1, for the polynomial routes of dimension.py;
+- the integer cyclotomic polynomials, whose blocks give the charpoly of an
+  element of F[y]/(y^n - 1) in dimension.py;
 - the Hermite-form dimension of a batch of polynomial rows mod y^o - 1;
 - multiplication matrices mod a monic f over a prime field, on which field.py
   tests irreducibility (Rabin 1980) and primitivity and doubles its antilog
@@ -14,6 +16,8 @@ on it:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -77,6 +81,49 @@ def _ideal_gcd(F, polys, n: int):
     for v in polys:
         g = _gcd(F, v, g)[0] if g.size > 1 else g
     return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@functools.lru_cache(maxsize=256)  # an order below ORDER_CAP has at most 64 divisors
+def _cyclotomic(d: int) -> tuple:
+    """Integer coefficients of the cyclotomic polynomial Phi_d, low to high.
+
+    Phi_d = prod over e | d of (y^e - 1)^mu(d/e), and mu(d/e) != 0 only when d/e is
+    a product of distinct primes of d.  The product is taken as a power series mod
+    y^(phi(d) + 1) in the factors 1 - y^e, equal to y^e - 1 up to a sign that the
+    monic top coefficient fixes: first multiply by the factors with mu = 1, then
+    divide by the others, each a prefix sum with stride e.  Every intermediate is
+    the low part of Phi_d times at most 2^(w-1) factors 1 - y^e, w the number of
+    primes of d, so int64 is exact far past ORDER_CAP.
+    """
+    phi, pairs = d, [(d, 1)]  # pairs (e, mu(d/e))
+    for l in _prime_factors(d):
+        phi = phi // l * (l - 1)
+        pairs += [(e // l, -mu) for e, mu in pairs]
+    c = np.zeros(phi + 1, dtype=np.int64)
+    c[0] = 1
+    for e, mu in sorted(pairs, key=lambda t: -t[1]):
+        if e > phi:  # 1 - y^e = 1 mod y^(phi + 1)
+            continue
+        if mu == 1:
+            c[e:] = c[e:] - c[:-e]
+        else:
+            c = np.append(c, np.zeros(-c.size % e, dtype=np.int64)).reshape(-1, e)
+            c = c.cumsum(axis=0).ravel()[:phi + 1]
+    return tuple((c * c[-1]).tolist())
 
 
 def _hermite_dim(F, rows) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 from groupalg.field import parse_field_spec
 from groupalg.errors import SpecError
-from groupalg.poly import FPoly, _cmul, _divmod, _gcd, _poly_mul, _trim
+from groupalg.poly import FPoly, _cmul, _cyclotomic, _divmod, _gcd, _poly_mul, _trim
 
 import oracles
 from oracles import OracleField
@@ -113,3 +113,39 @@ def test_fpoly_refuses_non_integral_coefficients():
     assert FPoly(f, np.array([0, 0])).coeffs == () and FPoly(f, ()).is_zero
     assert FPoly.const(f, 2).coeffs == (2,) and FPoly.const(f, 0).is_zero
     assert FPoly(f, [1, 2]).scale(3).coeffs == (3, 1)
+
+
+def test_cyclotomic_polynomials_multiply_to_y_n_minus_1():
+    # prod over d | n of Phi_d = y^n - 1 fixes every monic Phi_d, by induction on n;
+    # Python-int products, so no partial product can overflow
+    for n in range(1, 211):
+        prod = np.ones(1, dtype=object)
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            phi = _cyclotomic(d)
+            assert phi[-1] == 1 and len(phi) - 1 == sum(
+                1 for j in range(1, d + 1) if np.gcd(j, d) == 1), d
+            prod = np.convolve(prod, np.array(phi, dtype=object))
+        assert prod.tolist() == [-1] + [0] * (n - 1) + [1], n
+    # the first coefficient of absolute value 2 (Migotti 1883)
+    phi = _cyclotomic(105)
+    assert [i for i, c in enumerate(phi) if abs(c) > 1] == [7, 41] and phi[7] == -2
+
+
+def test_cyclotomic_is_exact_with_the_most_primes_below_order_cap():
+    # 2310 = 2 3 5 7 11 and 9240 = 4 2310 have five primes, the most below ORDER_CAP.
+    # With |coefficients| < 2^62, Phi_d(2^64) determines them; compare it with
+    # prod over e | d of (B^e - 1)^mu(d/e) in Python ints
+    B, off = 1 << 64, 1 << 62
+    for d, phi_d in ((105, 48), (2310, 480), (9240, 1920)):
+        phi = np.array(_cyclotomic(d), dtype=np.int64)
+        assert phi.size == phi_d + 1 and np.abs(phi).max() < off
+        value = int.from_bytes((phi + off).astype("<u8").tobytes(), "little") \
+            - off * (B ** phi.size - 1) // (B - 1)
+        num = den = 1
+        for e in range(1, d + 1):
+            if d % e == 0 and all((d // e) % (l * l) for l in (2, 3, 5, 7, 11)):
+                if (-1) ** sum((d // e) % l == 0 for l in (2, 3, 5, 7, 11)) == 1:
+                    num *= B ** e - 1
+                else:
+                    den *= B ** e - 1
+        assert num == value * den, d

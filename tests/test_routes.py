@@ -5,10 +5,12 @@ export, annihilator) must equal the private rank path it replaces, on cyclic
 groups in catalogue order, in a shuffled Cayley file and as a coprime
 product.  The coset route (Hermite form over F[y] on the cosets of a largest
 cyclic subgroup) must equal elimination on every group, called directly below
-the gate and through dim_ideal above it.
+the gate and through dim_ideal above it.  The cyclic charpoly (cyclotomic blocks)
+must equal the Hessenberg charpoly of the representation matrix on both sides.
 """
 
 import functools
+import json
 import random
 import time
 import tracemalloc
@@ -17,16 +19,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupalg import linalg
+from groupalg import cli, dimension, linalg, representation
 from groupalg.algebra import AlgebraElem
 from groupalg.dimension import IdealSpec, _coset_dim, _coset_index, _dim_rank, \
     _idempotent_rank, _largest_cycle, _membership_rank, _route, _route_dim, \
-    annihilator_basis, dim_ideal, ideal_membership, idempotent_generator
+    annihilator_basis, dim_bound_charpoly, dim_ideal, element_charpoly, ideal_membership, \
+    idempotent_generator
+from groupalg.errors import SpecError
 from groupalg.field import parse_field_spec
 from groupalg.gcode import _build_code_rank, build_code, code_to_text
 from groupalg.groups import cayley_to_text, group_from_cayley_text, make_group
 from groupalg.linalg import kernel_basis
-from groupalg.representation import rho_matrix
+from groupalg.representation import rho_matrix, side_matrix
 
 FIELDS = ("gf:2", "gf:3", "gf:5", "gf:7", "gf:2^2", "gf:3^2")
 CYCLIC = ("cyclic:1", "cyclic:2", "cyclic:6", "cyclic:8", "cyclic:9", "cyclic:15", "cyclic:24",
@@ -40,6 +44,10 @@ COSETS = tuple(f"dihedral:{m}" for m in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16,
     "product:symmetric:3,symmetric:3", "product:symmetric:4,cyclic:2",
     "product:cyclic:2,product:cyclic:2,cyclic:2", "cyclic:9", "shuffled:12")
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300, database=None)
+# the cyclic charpoly: p | n and p not dividing n, prime powers, and two non-catalogue orders
+CHARPOLY_GROUPS = tuple(f"cyclic:{n}" for n in (1, 2, 6, 8, 9, 12, 15, 16, 24, 25, 27, 30)) + (
+    "shuffled:12", "product:cyclic:3,cyclic:4")
+CHARPOLY_FIELDS = FIELDS + ("gf:2^4", "gf:2147483647")
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,10 +64,10 @@ def _group(spec):
 
 
 @st.composite
-def _elements(draw, gspec, count):
+def _elements(draw, gspec, count, fields=FIELDS):
     """`count` elements of one (group, field): random, (1 - t) r or sum(<t>) r."""
     g = _group(gspec)
-    f = parse_field_spec(draw(st.sampled_from(FIELDS)))
+    f = parse_field_spec(draw(st.sampled_from(fields)))
     out = []
     for _ in range(count):
         r = AlgebraElem(f, g, draw(st.lists(st.integers(0, f.q - 1), min_size=g.n,
@@ -258,3 +266,108 @@ def test_modular_cyclic_idempotents():
     a = AlgebraElem(f3, g6, [1, 0, 0, 1, 0, 0])  # 1 + y^3
     e = idempotent_generator(a)
     assert e == _idempotent_rank(a, "left") and e is not None and e * e == e
+
+
+def _hessenberg_charpoly(f, side):
+    return tuple(linalg._charpoly_data(f.field, side_matrix(f, side).data).tolist())
+
+
+@SETTINGS
+@given(st.data())
+def test_cyclic_charpoly_matches_hessenberg(data):
+    gspec = data.draw(st.sampled_from(CHARPOLY_GROUPS))
+    f = data.draw(_elements(gspec, 1, CHARPOLY_FIELDS))[0]
+    kind = data.draw(st.sampled_from(("zero", "one", "drawn")))
+    if kind != "drawn":
+        f = getattr(AlgebraElem, kind)(f.field, f.group)
+    assert _route(f.group)[0] == "cyclic"
+    for side in ("left", "right"):
+        assert element_charpoly(f, side).coeffs == _hessenberg_charpoly(f, side), (gspec, side)
+
+
+def test_cyclic_charpoly_in_characteristic_dividing_n():
+    # chi = (prod over d | m of the blocks)^(p^v): over an extension field the power
+    # raises each coefficient to p^v, which a prime field would not notice
+    rng = random.Random(21)
+    for gspec, fspec in (("cyclic:8", "gf:2^2"), ("cyclic:12", "gf:2^2"), ("cyclic:9", "gf:3^2"),
+                         ("cyclic:18", "gf:3^2"), ("cyclic:16", "gf:2^4"),
+                         ("shuffled:12", "gf:2^2")):
+        g, f = _group(gspec), parse_field_spec(fspec)
+        u = AlgebraElem.one(f, g) - AlgebraElem.basis(f, g, 1)
+        for _ in range(4):
+            r = AlgebraElem(f, g, [rng.randrange(f.q) for _ in range(g.n)])
+            for a in (r, u * r, r + AlgebraElem.one(f, g)):
+                for side in ("left", "right"):
+                    want = _hessenberg_charpoly(a, side)
+                    assert element_charpoly(a, side).coeffs == want, (gspec, fspec, side)
+                    assert dim_bound_charpoly(a, side).charpoly.coeffs == want
+
+
+def _record_kernel_calls(monkeypatch):
+    """Sizes of the matrices that reach _charpoly_data, and the sides side_matrix builds."""
+    sizes, built = [], []
+
+    def kernel(field, a, real=linalg._charpoly_data):
+        sizes.append(a.shape[0])
+        return real(field, a)
+
+    def matrix(f, side, real=representation.side_matrix):
+        built.append(side)
+        return real(f, side)
+
+    for mod in (linalg, dimension):
+        monkeypatch.setattr(mod, "_charpoly_data", kernel)
+    for mod in (representation, dimension):
+        monkeypatch.setattr(mod, "side_matrix", matrix)
+    return sizes, built
+
+
+def test_cyclic_charpoly_reduces_only_the_blocks(monkeypatch, capsys):
+    rng = random.Random(21)
+    cases = []
+    for gspec, fspec in (("cyclic:512", "gf:5"), ("cyclic:1024", "gf:2"), ("shuffled:12", "gf:7")):
+        g, f = _group(gspec), parse_field_spec(fspec)
+        a = AlgebraElem(f, g, [rng.randrange(f.q) for _ in range(g.n)])
+        _route(g)
+        cases.append((gspec, a, a.coeffs))
+    sizes, built = _record_kernel_calls(monkeypatch)
+    for gspec, a, _ in cases:
+        for side in ("left", "right"):
+            del sizes[:]
+            dim_bound_charpoly(a, side)
+            if gspec == "cyclic:512":  # gf:5: one block Phi_d for each d = 4, 8, ..., 512
+                assert max(sizes) == 256 and sum(sizes) == 510, sizes
+            elif gspec == "cyclic:1024":  # y^1024 - 1 = (y - 1)^1024 over gf:2: no block
+                assert sizes == [], sizes
+            else:  # 12 = 2^2 3: Phi_3, Phi_4, Phi_6 and Phi_12 have phi(d) >= 2
+                assert sorted(sizes) == [2, 2, 2, 4], sizes
+    # the CLI command takes the same route and builds the matrix only to dump it
+    argv = ["charpoly", "--group", "cyclic:1024", "--field", "gf:2", "--elem", "1:1,2:1", "--json"]
+    del sizes[:]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 1024
+    assert sizes == [] and built == []
+    assert cli.main(argv[:-1] + ["--dump-matrix"]) == 0
+    assert built == ["left"] and sizes == []
+    # the patches are live: a non-cyclic group still reduces its 6 x 6 matrix
+    f3 = parse_field_spec("gf:3")
+    dim_bound_charpoly(AlgebraElem.basis(f3, make_group("dihedral:3"), 1), "right")
+    assert sizes == [6] and built == ["left", "right"]
+    with pytest.raises(SpecError):
+        dim_bound_charpoly(cases[0][1], "bogus")
+
+
+def test_cyclic_charpoly_allocates_no_square_matrix():
+    f, g = parse_field_spec("gf:2"), make_group("cyclic:1024")
+    one, y = AlgebraElem.one(f, g), AlgebraElem.basis(f, g, 1)
+    # k = 1024 with the idempotency check (1 + y), and k = 0 (1 + y + y^2)
+    for a in (one + y, one + y + y * y):
+        want = dim_bound_charpoly(a)  # the first call detects the route and caches it on g
+        tracemalloc.start()
+        try:
+            assert dim_bound_charpoly(a) == want
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+    assert want.k == 0 and dim_bound_charpoly(one + y).k == 1024

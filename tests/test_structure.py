@@ -11,7 +11,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "groupalg"
-ROUTE_INTERNALS = {"_route", "_cyclic_gcd", "_coset_index", "_largest_cycle"}
+ROUTE_INTERNALS = {"_route", "_cyclic_gcd", "_coset_index", "_largest_cycle", "_cyclic_charpoly"}
 
 
 def _groupalg_imports(tree):
