@@ -34,6 +34,13 @@ nodes.  The exact route evaluates at W+1 nonzero nodes and takes the least
 valuation, which is the symbolic one.  The randomized route takes a few
 random nonzero nodes from a field with q - 1 > 2W instead: a lower bound on
 the dimension that is exact with probability at least 1 - (W / (q-1))^trials.
+Both routes reduce their node matrices a stack at a time, one charpoly kernel
+call a stack (linalg.xm_charpoly_stacks).  A stack holds
+max(1, _NODE_STACK // (n^3 w)) nodes, _NODE_STACK = 2^18 in field.py and w the
+m digits a product takes in a sum over an odd-characteristic extension field
+(else 1), and the random route draws a stack's nodes only when it reaches that
+stack.  Both routes stop after the first stack with valuation 0, where dim = n
+is proven.
 Only mulmuley_charpoly interpolates the symbolic polynomial itself, and it
 keeps the unhalved 2n x 2n form.
 
@@ -61,7 +68,7 @@ import numpy as np
 from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
 from .linalg import FMatrix, RrefResult, XCharPoly, _charpoly_data, _kernel_vectors, charpoly, \
-    charpoly_xm, rank, rref, solve, xm_charpoly_values
+    charpoly_xm, rank, rref, solve, xm_charpoly_stacks
 from .poly import FPoly, _cmul, _cyclotomic, _divmod, _gcd, _hermite_dim, _ideal_gcd, \
     _poly_mul, _prime_factors, _trim
 from .representation import check_side, side_matrix, stack
@@ -412,15 +419,21 @@ def _mulmuley_dim(f: AlgebraElem, side: str, symmetrize: bool, min_order, nodes)
     so the nodes must be nonzero: they lie in ext = f.field.extension(min_order(W)),
     chosen before F is built, and nodes(ext, W) lists them.  Specializing x
     can only raise the valuation, so the least one over the nodes is the
-    best available.
+    best available.  The node charpolys come a stack at a time
+    (xm_charpoly_stacks), and a stack with valuation 0 ends the search: dim = n.
     """
     n = f.group.n
     W = n * n // (2 if symmetrize else 4)
     ext = f.field.extension(min_order(W))
     mat = side_matrix(f, side)
     factors = (mat, mat.transpose()) if symmetrize else (mat,)
-    vals = xm_charpoly_values(factors, ext, nodes(ext, W))
-    return n - min(int(np.flatnonzero(v)[0]) for v in vals)
+    k = n
+    for vals in xm_charpoly_stacks(factors, ext, nodes(ext, W)):
+        # charpolys are monic, so every row has a first nonzero coefficient
+        k = min(k, int(vals.astype(bool).argmax(axis=1).min()))
+        if k == 0:
+            break
+    return n - k
 
 
 def dim_mulmuley_exact(f: AlgebraElem, side: str = "left",
@@ -458,7 +471,8 @@ def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
     valuation, so every trial yields a lower bound on the dimension and the
     maximum over trials is reported.  Trials are seeded independently as
     `{seed}:{trial}`, so results are reproducible and adding trials never
-    changes earlier draws.  Each trial is exact with probability at least
+    changes earlier draws; seed and trials must be ints (not bools), since
+    seed=True or seed='1' would silently key other or the same draws.  Each trial is exact with probability at least
     1 - W/(q-1), so the failure odds decay as (W/(q-1))^trials < 2^-trials.
     Raises DomainError when that extension exceeds the 2^20 table limit of
     extension fields (over GF(2): groups of order 1024 and more).
@@ -468,7 +482,9 @@ def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
         raise SpecError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SpecError(f"seed must be an int, got {seed!r}")
     return _mulmuley_dim(
         f, side, True, lambda W: 2 * W + 2,
-        lambda ext, W: [1 + random.Random(f"{seed}:{trial}").randrange(ext.q - 1)
-                        for trial in range(trials)])
+        lambda ext, W: (1 + random.Random(f"{seed}:{trial}").randrange(ext.q - 1)
+                        for trial in range(trials)))

@@ -38,6 +38,15 @@ _DIGIT_TABLE_LIMIT = 1 << 16  # digit forms of all q elements are kept up to thi
 _XOR_TABLE_MIN = 1 << 13     # GF(2^m) antilogs by XOR from here: faster than digits
 _MAX_PRIME = (1 << 31) - 1    # keeps a*b exact in int64
 _DOT_BLOCK = 1 << 22          # cap on temporary elements in a blocked dot
+# cap on N * n^3 * w, the int64 words of the products of a stack of N node matrices
+# of size n that linalg.xm_charpoly_stacks forms and sums together, w = Field._sum_width
+# (at least one node a stack).  The nine Mulmuley-exact inputs of the perfbench sweep
+# (seed 1, 2-core VM) took 112 ms at 2^16, 72 ms at 2^18 and 67 ms at 2^20, against
+# about 310 ms one node at a time; the tracemalloc peak of S_4 over gf:2 was 0.9,
+# 4.1 and 16.9 MiB.  Without w, the sweep's random route on order-48 groups over
+# odd-characteristic extension fields peaked at 15.9 MiB, against 8.0 MiB one node
+# at a time.
+_NODE_STACK = 1 << 18
 
 
 def _ret(x):
@@ -148,6 +157,9 @@ class Field:
         self.modulus = modulus
         self._pow_vec = p ** np.arange(m, dtype=np.int64)
         self._digit_table = None
+        # int64 words a summed element takes in sum()'s temporary: its m digits
+        # over odd-characteristic extension fields, else the element itself
+        self._sum_width = m if p > 2 and m > 1 else 1
         if m > 1:
             self._build_ext_tables()
             if p > 2 and self.q <= _DIGIT_TABLE_LIMIT:  # GF(2^m) reads no digits
@@ -298,21 +310,25 @@ class Field:
         return _ret(s @ self._pow_vec)
 
     def dot(self, a, b):
-        """Exact product a @ b of 1-d or 2-d operands, with numpy's `@` shapes.
+        """Exact product a @ b with numpy's `@` shapes, leading stack axes included.
 
         This is the one place that forms sums of products over the field.
         Prime fields use one int64 matmul while inner * (p-1)^2 < 2^63;
-        otherwise reduced products are summed a block of rows at a time,
-        each block holding at most _DOT_BLOCK products (or one row's worth).
+        otherwise reduced products are summed a block at a time, each block
+        holding at most _DOT_BLOCK products (or one row's worth): a block of
+        rows for 1-d and 2-d operands, and for stacks the whole stack when it
+        fits, else one member at a time (_dot_stack).
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         inner = a.shape[-1]
-        if b.shape[0] != inner:
+        if b.shape[-2 if b.ndim > 1 else 0] != inner:
             raise ValueError(f"dot shape mismatch: {a.shape} @ {b.shape}")
         if self.m == 1 and inner * (self.p - 1) ** 2 < 1 << 63:
             # inner products of residues < p sum to less than 2^63: exact in int64
             return _ret((a @ b) % self.p)
+        if a.ndim > 2 or b.ndim > 2:
+            return self._dot_stack(a, b)
         # otherwise sum reduced products, at most _DOT_BLOCK of them at a time
         if a.ndim == 1:
             if b.ndim == 1 or b.size <= _DOT_BLOCK:
@@ -327,6 +343,25 @@ class Field:
         for i in range(0, a.shape[0], step):
             out[i:i + step] = self.sum(self.mul(a[i:i + step], b), axis=1)
         return out
+
+    def _dot_stack(self, a, b):
+        """dot for operands with stack axes, summing reduced products: all at once
+        when the broadcast stack makes at most _DOT_BLOCK of them, else member by
+        member through the 2-d dot, which blocks rows."""
+        va, vb = a.ndim == 1, b.ndim == 1
+        a = (a[None] if va else a)[..., None]  # (..., rows, inner, 1)
+        b = (b[:, None] if vb else b)[..., None, :, :]  # (..., 1, inner, cols)
+        prods = np.broadcast(a, b)
+        if prods.size <= _DOT_BLOCK:
+            out = self.sum(self.mul(a, b), axis=-2)
+        else:
+            batch = prods.shape[:-3]
+            a = np.broadcast_to(a[..., 0], batch + a.shape[-3:-1])
+            b = np.broadcast_to(b[..., 0, :, :], batch + b.shape[-2:])
+            out = np.empty(batch + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+            for idx in np.ndindex(batch):
+                out[idx] = self.dot(a[idx], b[idx])
+        return out[..., 0, :] if va else out[..., 0] if vb else out
 
     def extension(self, min_order: int) -> "Field":
         """The smallest GF(q^t), t >= 1, with at least min_order elements.

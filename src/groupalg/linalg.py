@@ -7,20 +7,30 @@ for numerical reasons.
 
 The characteristic polynomial is computed by similarity reduction to upper
 Hessenberg form (divisions only, valid over any field) followed by the
-standard recurrence on leading principal minors of zI - H.  The symbolic
-variant charpoly_xm evaluates at extension-field nodes and interpolates each
-z-coefficient by Newton's divided differences.  Polynomial arithmetic and
-FPoly, the polynomial type charpoly returns, live in poly.py.
+standard recurrence on leading principal minors of zI - H.  One kernel,
+_charpoly_data, does this for a single matrix or for a stack of them, each
+step once over the whole stack; charpoly, the cyclotomic blocks of
+dimension.py and every node charpoly run through it.  The node charpolys of
+X . M, X = diag(1, x, ..., x^{n-1}), come a stack of nodes at a time
+(xm_charpoly_stacks): a stack holds max(1, _NODE_STACK // (n^3 w)) nodes, w the
+int64 words a product takes while it is summed (1, or the m digits over an
+odd-characteristic extension field), so the node products of a stack stay
+within field._NODE_STACK, and a caller that has its answer stops before later
+nodes are built or drawn (Mulmuley's routes stop at valuation 0).  The
+symbolic variant charpoly_xm evaluates at extension-field nodes and
+interpolates each z-coefficient by Newton's divided differences.  Polynomial
+arithmetic and FPoly, the polynomial type charpoly returns, live in poly.py.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .field import Field, embedding
+from .field import _NODE_STACK, Field, embedding
 from .poly import FPoly
 
 
@@ -218,46 +228,62 @@ def solve(a: FMatrix, b) -> SolveResult | None:
 # -- characteristic polynomials --
 
 def _charpoly_data(field: Field, a: np.ndarray) -> np.ndarray:
-    """Coefficients (low-to-high, length s+1) of det(zI - a)."""
-    h = a.copy()
-    s = h.shape[0]
+    """Coefficients (low-to-high, length s+1) of det(zI - a), for one s x s matrix,
+    or one row each (shape (N, s+1)) for a stack a of N such matrices.
+
+    Every step of the reduction and of the recurrence runs once over the whole
+    stack.  Each member pivots on its own first nonzero entry below the
+    subdiagonal, a member whose subcolumn is zero skips the step, and only the
+    rows whose multiplier is nonzero in some member are updated.  A charpoly is
+    unique, so the stack a matrix shares changes none of its coefficients.
+    Callers size the stacks: xm_charpoly_stacks keeps N n^3 w within
+    _NODE_STACK and may stop after any stack; the other callers pass one matrix.
+    """
+    single = a.ndim == 2
+    h = (a[None] if single else a).copy()
+    N, s = h.shape[:2]
     for j in range(s - 2):
-        nz = np.nonzero(h[j + 1:, j])[0]
-        if nz.size == 0:
+        col = h[:, j + 1:, j]
+        if not np.count_nonzero(col):  # every member skips the step
             continue
-        pr = j + 1 + int(nz[0])
-        if pr != j + 1:
-            h[[j + 1, pr]] = h[[pr, j + 1]]
-            h[:, [j + 1, pr]] = h[:, [pr, j + 1]]
-        pivinv = field.inv(int(h[j + 1, j]))
-        lower = j + 2 + np.nonzero(h[j + 2:, j])[0]
-        if lower.size:
-            t = np.atleast_1d(field.mul(h[lower, j], pivinv))
-            h[lower] = field.sub(h[lower], field.mul(t[:, None], h[j + 1][None, :]))
+        first = col.astype(bool).argmax(axis=1)  # 0 also when the subcolumn is zero
+        swap = first.nonzero()[0]  # members whose first nonzero lies below row j+1
+        if swap.size:
+            pr = j + 1 + first[swap]
+            h[swap, j + 1], h[swap, pr] = h[swap, pr], h[swap, j + 1]
+            h[swap, :, j + 1], h[swap, :, pr] = h[swap, :, pr], h[swap, :, j + 1]
+        below = col[:, 1:]  # a view: the swaps above show through it
+        rel = (below.any(axis=0) if N > 1 else below[0]).nonzero()[0]  # nonzero multipliers
+        if rel.size:
+            lower, piv = j + 2 + rel, h[:, j + 1, j]
+            # a member with a zero subcolumn has zero multipliers: any pivot serves it
+            pivinv = field.inv(int(piv[0])) if N == 1 else field.inv(np.where(piv, piv, 1))[:, None]
+            t = field.mul(below[:, rel], pivinv)
+            # row j+1 is zero left of column j, so the rows change from column j on
+            h[:, lower, j:] = field.sub(h[:, lower, j:],
+                                        field.mul(t[:, :, None], h[:, j + 1, None, j:]))
             # inverse similarity: column j+1 absorbs the same combination
-            h[:, j + 1] = field.add(h[:, j + 1], field.dot(h[:, lower], t))
+            h[:, :, j + 1] = field.add(h[:, :, j + 1],
+                                       field.dot(h[:, :, lower], t[:, :, None])[:, :, 0])
     # leading principal minors D_k of (zI - h), by the Hessenberg recurrence
-    P = np.zeros((s + 1, s + 1), dtype=np.int64)
-    P[0, 0] = 1
-    cum = np.empty(0, dtype=np.int64)
+    # D_k = z D_{k-1} - sum_{i<k} w[k, i] D_{k-1-i}, w[k, i] = h[k-1-i, k-1] c[k, i] with
+    # c[k, i] = beta_{k-1} ... beta_{k-i} the product of i subdiagonal entries h[m, m-1];
+    # column i of w pairs the i-th superdiagonal of h with c[k, i], k = i+1..s
+    w = np.zeros((N, s + 1, s), dtype=np.int64)
+    w[:, 1:, :1] = h.diagonal(0, 1, 2)[:, :, None]
+    c = beta = h.diagonal(-1, 1, 2)  # c[k, 1] = beta_{k-1}
+    for i in range(1, s):
+        if i > 1:  # c[k, i] = beta_{k-1} c[k-1, i-1]
+            c = field.mul(beta[:, i - 1:], c[:, :-1])
+        w[:, i + 1:, i] = field.mul(h.diagonal(i, 1, 2), c)
+    P = np.zeros((N, s + 1, s + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
     for k in range(1, s + 1):
-        prev = P[k - 1, :k]
-        pk = np.zeros(s + 1, dtype=np.int64)
-        pk[1:k + 1] = prev
-        hkk = int(h[k - 1, k - 1])
-        if hkk:
-            pk[:k] = field.sub(pk[:k], field.mul(hkk, prev))
-        if k > 1:
-            # subdiagonal products beta_{k-1}, beta_{k-1}beta_{k-2}, ...,
-            # each step extending the previous step's products by beta_{k-1}
-            cum = field.mul(int(h[k - 1, k - 2]), np.concatenate(([1], cum)))
-            hcol = h[np.arange(k - 2, -1, -1), k - 1]
-            w = np.atleast_1d(field.mul(hcol, cum))
-            nzw = np.nonzero(w)[0]
-            if nzw.size:
-                pk[:k] = field.sub(pk[:k], field.dot(w[nzw], P[(k - 2) - nzw, :k]))
-        P[k] = pk
-    return P[s]
+        P[:, k, 1:k + 1] = P[:, k - 1, :k]
+        if np.count_nonzero(w[:, k]):
+            P[:, k, :k] = field.sub(P[:, k, :k],
+                                    field.dot(w[:, k, None, :k], P[:, k - 1::-1, :k])[:, 0])
+    return P[0, s] if single else P[:, s]
 
 
 def charpoly(mat: FMatrix) -> FPoly:
@@ -338,32 +364,47 @@ class XCharPoly(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def xm_charpoly_values(factors, ext: Field, xs) -> np.ndarray:
-    """Charpoly coefficients of the product of X . m over m in factors, at nodes x.
+def xm_charpoly_stacks(factors, ext: Field, nodes):
+    """Charpoly coefficients of the product of X . m over m in factors, a stack of
+    nodes at a time.
 
     X = diag(1, x, ..., x^{n-1}) scales the rows of each n x n factor, so one
     factor M gives X . M and two factors F, F^T give (X . F)(X . F^T).  The
-    nodes xs lie in ext, an extension of the matrix field (Field.extension
-    picks it).
+    nodes lie in ext, an extension of the matrix field (Field.extension picks
+    it), and are read from the iterable nodes one stack at a time: a stack holds
+    max(1, _NODE_STACK // (n^3 w)) nodes, so the N n^3 products of its node
+    matrices, w int64 words each while they are summed (Field._sum_width: the m
+    digits over odd-characteristic extension fields, else 1), stay within that
+    cap, and _charpoly_data reduces the whole stack in one call.
+    A caller that has its answer stops iterating, and later nodes are then
+    never drawn.
 
-    Returns:
-        vals: vals[i] holds the low-to-high coefficients (length n+1) at xs[i].
+    Yields:
+        vals: (N, n+1) arrays, vals[i] the low-to-high coefficients at the i-th
+        node of the stack.
     """
     f = factors[0].field
     n = factors[0].rows
     mds = [embedding(f, ext)(m.data) for m in factors]
-    xs = np.asarray(xs, dtype=np.int64)
-    # row i holds 1, x_i, ..., x_i^{n-1}: the diagonal of X at node x_i
-    xpow = np.ones((xs.size, n), dtype=np.int64)
-    for j in range(1, n):
-        xpow[:, j] = ext.mul(xpow[:, j - 1], xs)
-    vals = np.empty((xs.size, n + 1), dtype=np.int64)
-    for idx, row in enumerate(xpow):
-        node = ext.mul(mds[0], row[:, None])
+    nodes, size = iter(nodes), max(1, _NODE_STACK // (n ** 3 * ext._sum_width))
+    while (xs := np.fromiter(itertools.islice(nodes, size), dtype=np.int64)).size:
+        # row i holds 1, x_i, ..., x_i^{n-1}: the diagonal of X at node x_i, by doubling
+        xpow, xh, h = np.ones((xs.size, n), dtype=np.int64), xs, 1
+        while h < n:
+            xpow[:, h:2 * h] = ext.mul(xpow[:, :min(h, n - h)], xh[:, None])
+            xh, h = ext.mul(xh, xh), 2 * h
+        node = ext.mul(mds[0], xpow[:, :, None])
         for md in mds[1:]:
-            node = ext.dot(node, ext.mul(md, row[:, None]))
-        vals[idx] = _charpoly_data(ext, node)
-    return vals
+            node = ext.dot(node, ext.mul(md, xpow[:, :, None]))
+        yield _charpoly_data(ext, node)
+
+
+def xm_charpoly_values(factors, ext: Field, xs) -> np.ndarray:
+    """xm_charpoly_stacks run over every node of xs, its stacks (of
+    max(1, _NODE_STACK // (n^3 w)) nodes, one kernel call each) joined: row i of
+    the result holds the low-to-high coefficients (length n+1) at xs[i].  There
+    is no early stop; charpoly_xm interpolates from all the values."""
+    return np.concatenate(list(xm_charpoly_stacks(factors, ext, xs)))
 
 
 def charpoly_xm(mat: FMatrix) -> XCharPoly:

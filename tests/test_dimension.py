@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groupalg import dimension, linalg
+from groupalg import dimension, field as field_module, linalg
 from groupalg.algebra import AlgebraElem, random_element
 from groupalg.dimension import DimBound, IdealSpec, annihilator_basis, \
     dim_bound_charpoly, dim_ideal, dim_mulmuley_exact, dim_mulmuley_random, \
@@ -388,3 +388,70 @@ def test_dim_multiple_generators_monotone():
     dab = dim_ideal(_left(a, b))
     assert da <= dab <= min(g.n, da + dim_ideal(_left(b)))
     assert dim_ideal(_left(a, a)) == da
+
+
+def _record_stacks(monkeypatch):
+    shapes = []
+
+    def kernel(field, a, real=linalg._charpoly_data):
+        shapes.append(a.shape)
+        return real(field, a)
+
+    monkeypatch.setattr(linalg, "_charpoly_data", kernel)
+    return shapes
+
+
+def test_mulmuley_exact_reduces_its_nodes_in_bounded_stacks(monkeypatch):
+    f, g = _ctx("gf:2", "symmetric:4")
+    a = _modular_elements(f, g, random.Random(52))[0]
+    d = dim_ideal(_left(a))
+    shapes = _record_stacks(monkeypatch)
+    assert dim_mulmuley_exact(a, "left") == d < 24
+    per_stack = max(1, field_module._NODE_STACK // 24 ** 3)
+    assert per_stack > 1 and len(shapes) <= -(-289 // per_stack), shapes
+    assert sum(s[0] for s in shapes) == 289  # W + 1 nodes, W = 24^2 // 2
+    assert all(s[1:] == (24, 24) and s[0] * 24 ** 3 <= 1 << 18 for s in shapes), shapes
+    # an invertible element proves dim = n in its first stack and stops there
+    del shapes[:]
+    assert dim_mulmuley_exact(AlgebraElem.one(f, g), "left") == 24
+    assert len(shapes) == 1, shapes
+
+
+def test_mulmuley_random_draws_its_nodes_a_stack_at_a_time(monkeypatch):
+    f, g = _ctx("gf:3", "cyclic:3")
+    one, y = AlgebraElem.one(f, g), AlgebraElem.basis(f, g, 1)
+    shapes = _record_stacks(monkeypatch)
+    assert dim_mulmuley_random(one - y, "left", trials=1000) == 2  # 1 - y is a zero divisor
+    assert sum(s[0] for s in shapes) == 1000
+    assert all(s[0] * 3 ** 3 <= field_module._NODE_STACK for s in shapes), shapes
+    # the search ends at the first stack with valuation 0, before later nodes are drawn
+    del shapes[:]
+    assert dim_mulmuley_random(one + y, "left", trials=10 ** 12) == 3
+    assert len(shapes) == 1 and shapes[0][0] * 27 <= field_module._NODE_STACK, shapes
+    # over GF(3^6) a summed product takes its 6 digits: stacks of 2^18 // (24^3 * 6) = 3
+    f3, s4 = _ctx("gf:3", "symmetric:4")
+    a = _modular_elements(f3, s4, random.Random(54))[0]
+    del shapes[:]
+    assert dim_mulmuley_random(a, "left", trials=7) <= dim_ideal(_left(a)) < 24
+    assert [s[0] for s in shapes] == [3, 3, 1], shapes
+
+
+def test_mulmuley_exact_memory_on_s4():
+    f, g = _ctx("gf:2", "symmetric:4")
+    a = random_element(f, g, random.Random(53))
+    dim_mulmuley_exact(a, "left")  # tables and caches are built outside the measurement
+    tracemalloc.start()
+    try:
+        dim_mulmuley_exact(a, "left")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+
+
+def test_mulmuley_random_refuses_a_seed_that_is_not_an_int():
+    a = AlgebraElem.one(*_ctx("gf:2", "cyclic:4"))
+    for bad in (None, 1.5, "1", True):
+        with pytest.raises(SpecError, match="seed must be an int"):
+            dim_mulmuley_random(a, seed=bad)
+    assert dim_mulmuley_random(a, seed=-3) == dim_mulmuley_random(a, seed=1 << 80) == 4

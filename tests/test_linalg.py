@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from groupalg import field as field_module, linalg
 from groupalg.errors import SpecError
-from groupalg.field import make_field, parse_field_spec
+from groupalg.field import Field, make_field, parse_field_spec
 from groupalg.linalg import FMatrix, FPoly, charpoly, charpoly_xm, kernel_basis, \
     lagrange_interpolate, rank, rref, solve, stack_matrices, xm_charpoly_values
 
@@ -337,3 +338,74 @@ def oracles_matmul_bigp(p, a, b):
     n, k, m = len(a), len(b), len(b[0])
     return [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)]
             for i in range(n)]
+
+
+STACK_FIELDS = ("gf:2", "gf:5", "gf:2^4", "gf:3^2", "gf:2147483647")
+
+
+def _stack_members(rng, f, s):
+    """Five s x s matrices that take different paths at the first Hessenberg step
+    (s >= 3): a nonzero pivot in place (every entry is nonzero), a pivot found by a
+    row swap, an all-zero subcolumn (the step is skipped), a scaled cyclic shift
+    and a sparse matrix."""
+    def rand(density=1.0):
+        return np.array([[rng.randrange(1, f.q) if rng.random() < density else 0
+                          for _ in range(s)] for _ in range(s)], dtype=np.int64).reshape(s, s)
+    in_place, swap, zero_col = rand(), rand(), rand()
+    shift = np.roll(np.eye(s, dtype=np.int64), 1, axis=0) * rng.randrange(1, f.q)
+    if s >= 3:
+        swap[1, 0] = 0  # the first nonzero below the subdiagonal sits in row 2 or lower
+        zero_col[1:, 0] = 0
+    return [in_place, swap, zero_col, shift, rand(0.3)]
+
+
+def test_stacked_charpoly_matches_the_oracle_and_single_members(monkeypatch):
+    calls = []
+    real = Field._dot_stack
+    monkeypatch.setattr(Field, "_dot_stack",
+                        lambda self, a, b: calls.append(self.q) or real(self, a, b))
+    rng = random.Random(23)
+    for spec in STACK_FIELDS:
+        f = parse_field_spec(spec)
+        for s in (0, 1, 2, 3, 7):
+            members = _stack_members(rng, f, s)
+            want = [oracles.charpoly_coeffs(f.q, m.tolist()) for m in members]
+            for idx in ([0], [0, 1], [1, 2, 0, 3, 4], [2, 4]):
+                stack = np.stack([members[i] for i in idx])
+                got = linalg._charpoly_data(f, stack)
+                assert got.shape == (len(idx), s + 1)
+                for pos, (row, i) in enumerate(zip(got.tolist(), idx)):
+                    assert row == want[i], (spec, s, idx, i)
+                    assert row == linalg._charpoly_data(f, stack[pos:pos + 1])[0].tolist()
+                    assert row == linalg._charpoly_data(f, members[i]).tolist()
+    # inner * (p-1)^2 reaches 2^63 from inner = 3 on: the largest prime sums blockwise
+    assert (1 << 31) - 1 in calls
+
+
+def test_stacked_dot_equals_a_loop_of_2d_dots(monkeypatch):
+    rng = random.Random(24)
+    # gf:5 stays below the int64 bound; gf:2147483647 passes it at inner 3
+    for spec in ("gf:5", "gf:2147483647", "gf:2^4", "gf:3^2"):
+        f = parse_field_spec(spec)
+
+        def rand(*shape):
+            return np.array(rng.choices(range(f.q), k=int(np.prod(shape))),
+                            dtype=np.int64).reshape(shape)
+
+        a, b = rand(4, 3, 5), rand(4, 5, 2)
+        want = np.stack([f.dot(a[i], b[i]) for i in range(4)])
+        # the whole stack at once, then (a 7-product block) member by member, row by row
+        for block in (None, 7):
+            if block is not None:
+                monkeypatch.setattr(field_module, "_DOT_BLOCK", block)
+            assert np.array_equal(f.dot(a, b), want), (spec, block)
+            assert np.array_equal(f.dot(a[0], b), np.stack([f.dot(a[0], m) for m in b]))
+            assert np.array_equal(f.dot(a, b[0]), np.stack([f.dot(m, b[0]) for m in a]))
+            assert np.array_equal(f.dot(a, b[0, :, 0]), np.stack([f.dot(m, b[0, :, 0]) for m in a]))
+            assert np.array_equal(f.dot(a[0, 0], b), np.stack([f.dot(a[0, 0], m) for m in b]))
+            c = rand(2, 1, 3, 5)  # stack axes broadcast as numpy's @ does: (2, 4, 3, 2)
+            assert np.array_equal(f.dot(c, b), np.stack(
+                [[f.dot(c[i, 0], b[j]) for j in range(4)] for i in range(2)]))
+            monkeypatch.undo()
+        with pytest.raises(ValueError):
+            f.dot(a, rand(4, 3, 2))
