@@ -329,10 +329,6 @@ def ideal_membership(h: AlgebraElem, spec: IdealSpec) -> bool:
     return not _divmod(spec.field, _trim(h.coeffs[cyclic[0]]), cyclic[1])[1].size
 
 
-def _membership_rank(h: AlgebraElem, spec: IdealSpec) -> bool:
-    return _dim_rank(spec) == _dim_rank(IdealSpec(spec.side, spec.generators + (h,)))
-
-
 def annihilator_basis(f: AlgebraElem, side: str = "right") -> list:
     """Basis of the one-sided annihilator of f.
 
@@ -392,43 +388,35 @@ def _idempotent_rank(f: AlgebraElem, side: str):
     return e
 
 
-def _mulmuley_matrix(f: AlgebraElem, side: str, symmetrize: bool) -> FMatrix:
+def mulmuley_charpoly(f: AlgebraElem, side: str = "left") -> XCharPoly:
+    """Symbolic-x charpoly of X*M for the generator f, M = [[0, F], [F^T, 0]] of
+    size 2n; the undoubled one of X_1 F is charpoly_xm(side_matrix(f, side))."""
     mat = side_matrix(f, side)
-    if not symmetrize:
-        return mat
     n = mat.rows
     data = np.zeros((2 * n, 2 * n), dtype=np.int64)
     data[:n, n:] = mat.data
     data[n:, :n] = mat.data.T
-    return FMatrix(f.field, data, validate=False)
+    return charpoly_xm(FMatrix(f.field, data, validate=False))
 
 
-def mulmuley_charpoly(f: AlgebraElem, side: str = "left",
-                      symmetrize: bool = True) -> XCharPoly:
-    """Symbolic-x characteristic polynomial of X*M for the generator f."""
-    return charpoly_xm(_mulmuley_matrix(f, side, symmetrize))
-
-
-def _mulmuley_dim(f: AlgebraElem, side: str, symmetrize: bool, min_order, nodes) -> int:
+def _mulmuley_dim(f: AlgebraElem, side: str, min_order, nodes) -> int:
     """rank(F) = n - k, k the least z-valuation of the node charpolys.
 
     The node matrix is C(x0) = (X_1 F)(X_1 F^T), the halved form of the
-    doubled X*M, or X_1 F itself when symmetrize is False (the commutative
-    shortcut).  Its z-coefficients have x-exponents in a window of width
-    W = n^2 // 2, or n^2 // 4 for X_1 F (principal minors, exponents sum S),
-    so the nodes must be nonzero: they lie in ext = f.field.extension(min_order(W)),
-    chosen before F is built, and nodes(ext, W) lists them.  Specializing x
-    can only raise the valuation, so the least one over the nodes is the
-    best available.  The node charpolys come a stack at a time
-    (xm_charpoly_stacks), and a stack with valuation 0 ends the search: dim = n.
+    doubled X*M.  Its z-coefficients have x-exponents in a window of width
+    W = n^2 // 2, so the nodes must be nonzero: they lie in
+    ext = f.field.extension(min_order(W)), chosen before F is built, and
+    nodes(ext, W) lists them.  Specializing x can only raise the valuation,
+    so the least one over the nodes is the best available.  The node
+    charpolys come a stack at a time (xm_charpoly_stacks), and a stack with
+    valuation 0 ends the search: dim = n.
     """
     n = f.group.n
-    W = n * n // (2 if symmetrize else 4)
+    W = n * n // 2
     ext = f.field.extension(min_order(W))
     mat = side_matrix(f, side)
-    factors = (mat, mat.transpose()) if symmetrize else (mat,)
     k = n
-    for vals in xm_charpoly_stacks(factors, ext, nodes(ext, W)):
+    for vals in xm_charpoly_stacks((mat, mat.transpose()), ext, nodes(ext, W)):
         # charpolys are monic, so every row has a first nonzero coefficient
         k = min(k, int(vals.astype(bool).argmax(axis=1).min()))
         if k == 0:
@@ -436,29 +424,18 @@ def _mulmuley_dim(f: AlgebraElem, side: str, symmetrize: bool, min_order, nodes)
     return n - k
 
 
-def dim_mulmuley_exact(f: AlgebraElem, side: str = "left",
-                       shortcut: str = "auto") -> int:
+def dim_mulmuley_exact(f: AlgebraElem, side: str = "left") -> int:
     """Dimension of the one-sided ideal of f via Mulmuley's z-adic valuation.
 
     The nodes are the first W+1 nonzero elements of the smallest extension
     with at least W+2 elements, W = n^2 // 2 the width of the x-exponent
-    window of every z-coefficient of charpoly C(x), C = (X_1 F)(X_1 F^T).  A
-    nonzero coefficient cannot vanish at all W+1 nodes, so the least valuation
-    over the nodes is the symbolic one and dim = n - k; no interpolation is
-    needed.
-
-    shortcut='commutative' reads the rank off X_1 F itself (window n^2 // 4,
-    dim = n - k); it requires a commutative group.  'symmetrize' (and
-    'auto') uses C, the n x n halving of the doubled matrix
-    [[0, F], [F^T, 0]].
+    window of every z-coefficient of charpoly C(x), C = (X_1 F)(X_1 F^T), the
+    n x n halving of the doubled matrix [[0, F], [F^T, 0]].  A nonzero
+    coefficient cannot vanish at all W+1 nodes, so the least valuation over
+    the nodes is the symbolic one and dim = n - k; no interpolation is needed.
     """
     check_side(side)
-    if shortcut not in ("auto", "symmetrize", "commutative"):
-        raise SpecError(f"shortcut must be auto, symmetrize, or commutative, got {shortcut!r}")
-    if shortcut == "commutative" and not f.group.is_commutative:
-        raise DomainError("commutative shortcut on a non-commutative group")
-    return _mulmuley_dim(f, side, shortcut != "commutative", lambda W: W + 2,
-                         lambda ext, W: ext.elements(W + 2)[1:])
+    return _mulmuley_dim(f, side, lambda W: W + 2, lambda ext, W: ext.elements(W + 2)[1:])
 
 
 def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
@@ -485,6 +462,6 @@ def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SpecError(f"seed must be an int, got {seed!r}")
     return _mulmuley_dim(
-        f, side, True, lambda W: 2 * W + 2,
+        f, side, lambda W: 2 * W + 2,
         lambda ext, W: (1 + random.Random(f"{seed}:{trial}").randrange(ext.q - 1)
                         for trial in range(trials)))

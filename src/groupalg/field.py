@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -280,6 +281,13 @@ class Field:
     def pow(self, a, e: int):
         # square-and-multiply over mul: residues below 2^31 multiply to less than 2^62,
         # exact in int64.  e is not reduced mod q - 1: 0^e = 0 for e > 0 and 0^0 = 1.
+        # e is a Python or numpy integer; a bool, float or str is malformed.
+        if isinstance(e, bool):
+            raise SpecError(f"exponent must be an int, got {e!r}")
+        try:
+            e = operator.index(e)
+        except TypeError:
+            raise SpecError(f"exponent must be an int, got {e!r}") from None
         a = np.asarray(a, dtype=np.int64)
         if e < 0:
             return self.pow(self.inv(a), -e)

@@ -19,8 +19,7 @@ import numpy as np
 from .dimension import IdealSpec, _ideal_rref
 from .errors import BudgetExceededError, DomainError, SpecError
 from .field import Field
-from .linalg import FMatrix, RrefResult, _kernel_vectors, rref
-from .representation import stack
+from .linalg import FMatrix, RrefResult, _kernel_vectors
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -39,10 +38,6 @@ class GroupCode(NamedTuple):
 def build_code(spec: IdealSpec) -> GroupCode:
     """Code of the ideal; raises on the zero ideal (no code to build)."""
     return _code(spec, _ideal_rref(spec))
-
-
-def _build_code_rank(spec: IdealSpec) -> GroupCode:
-    return _code(spec, rref(stack(spec.generators, spec.side)))
 
 
 def _code(spec: IdealSpec, res: RrefResult) -> GroupCode:

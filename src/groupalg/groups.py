@@ -198,8 +198,11 @@ def closure_from_generators(n_points: int, generators, cap: int = ORDER_CAP) -> 
     """Breadth-first closure of 0-based permutation generators.
 
     Element order is BFS discovery order with the identity first, scanning
-    generators in the given order; deterministic.
+    generators in the given order; deterministic.  A cap that is not an int in
+    1..ORDER_CAP is refused before the search starts.
     """
+    if isinstance(cap, bool) or not isinstance(cap, int) or not 1 <= cap <= ORDER_CAP:
+        raise SpecError(f"cap must be an int in 1..{ORDER_CAP}, got {cap!r}")
     if n_points < 1:
         raise SpecError(f"need at least one point, got {n_points}")
     gens = []

@@ -399,14 +399,6 @@ def xm_charpoly_stacks(factors, ext: Field, nodes):
         yield _charpoly_data(ext, node)
 
 
-def xm_charpoly_values(factors, ext: Field, xs) -> np.ndarray:
-    """xm_charpoly_stacks run over every node of xs, its stacks (of
-    max(1, _NODE_STACK // (n^3 w)) nodes, one kernel call each) joined: row i of
-    the result holds the low-to-high coefficients (length n+1) at xs[i].  There
-    is no early stop; charpoly_xm interpolates from all the values."""
-    return np.concatenate(list(xm_charpoly_stacks(factors, ext, xs)))
-
-
 def charpoly_xm(mat: FMatrix) -> XCharPoly:
     """Symbolic-x characteristic polynomial of X . mat, X = diag(1, x, ..., x^{s-1}).
 
@@ -421,7 +413,7 @@ def charpoly_xm(mat: FMatrix) -> XCharPoly:
     D = s * (s - 1) // 2
     ext = mat.field.extension(D + 2)
     xs = ext.elements(D + 1)
-    vals = xm_charpoly_values((mat,), ext, xs)
+    vals = np.concatenate(list(xm_charpoly_stacks((mat,), ext, xs)))
     coeff_rows = _interp_many(ext, xs, vals.T.copy())
     zc = tuple(FPoly(ext, row) for row in coeff_rows)
     if zc[-1].coeffs != (1,):

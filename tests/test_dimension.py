@@ -12,6 +12,8 @@ from groupalg.dimension import DimBound, IdealSpec, annihilator_basis, \
 from groupalg.errors import DomainError, SpecError
 from groupalg.field import parse_field_spec
 from groupalg.groups import make_group
+from groupalg.linalg import charpoly_xm
+from groupalg.representation import side_matrix
 from groupalg.selftest import S3_I3_CHAR3, S3_I3_PARTS, paper_s3_group
 
 import oracles
@@ -233,8 +235,7 @@ def test_mulmuley_exact_matches_rank():
                 assert dim_mulmuley_exact(a, side) == d, (fspec, gspec, side)
                 assert (xc.size - xc.k) // 2 == d, (fspec, gspec, side)
                 if g.is_commutative:
-                    flat = mulmuley_charpoly(a, side, symmetrize=False)
-                    assert dim_mulmuley_exact(a, side, shortcut="commutative") == d
+                    flat = charpoly_xm(side_matrix(a, side))
                     assert flat.size - flat.k == d
 
 
@@ -325,29 +326,13 @@ def test_mulmuley_exact_does_not_interpolate(monkeypatch):
             assert dim_mulmuley_exact(a, "left") == dim_ideal(_left(a)), (fspec, gspec)
 
 
-def test_mulmuley_commutative_shortcut():
-    rng = random.Random(47)
-    f, g = _ctx("gf:3", "cyclic:6")
-    for _ in range(5):
-        a = random_element(f, g, rng)
-        d = dim_ideal(_left(a))
-        assert dim_mulmuley_exact(a, "left", shortcut="commutative") == d
-        assert dim_mulmuley_exact(a, "left", shortcut="symmetrize") == d
-    fs, s3 = _ctx("gf:5", "symmetric:3")
-    b = AlgebraElem.one(fs, s3)
-    with pytest.raises(DomainError):
-        dim_mulmuley_exact(b, "left", shortcut="commutative")
-    with pytest.raises(SpecError):
-        dim_mulmuley_exact(b, "left", shortcut="fast")
-
-
 def test_mulmuley_charpoly_shape():
     f, g = _ctx("gf:2", "cyclic:4")
     a = AlgebraElem(f, g, (1, 1, 0, 0))
-    xc = mulmuley_charpoly(a, "left", symmetrize=True)
+    xc = mulmuley_charpoly(a, "left")
     assert xc.size == 8
     assert xc.size - xc.k == 2 * dim_ideal(_left(a))
-    flat = mulmuley_charpoly(a, "left", symmetrize=False)
+    flat = charpoly_xm(side_matrix(a, "left"))
     assert flat.size == 4
     assert flat.k == 4 - dim_ideal(_left(a))
 

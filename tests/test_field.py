@@ -281,6 +281,13 @@ def test_pow():
                 assert f.pow(a, e) == acc
         assert f.pow(0, 0) == 1
         assert f.pow(0, 3) == 0
+    # numpy integers are exponents; bools, floats, None and str are malformed
+    f = make_field(5)
+    assert f.pow(2, np.int64(3)) == f.pow(2, 3) == 3
+    assert f.pow(2, np.uint8(2)) == 4
+    for e in (2.0, True, False, np.bool_(True), None, "2"):
+        with pytest.raises(SpecError):
+            f.pow(2, e)
 
 
 def test_large_prime_array_inv_and_pow_match_python_pow():

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from groupalg import groups
 from groupalg.algebra import AlgebraElem, random_element
 from groupalg.errors import SpecError
 from groupalg.field import parse_field_spec
-from groupalg.groups import Group, cayley_to_text, closure_from_generators, \
+from groupalg.groups import ORDER_CAP, Group, cayley_to_text, closure_from_generators, \
     compose_perms, group_from_cayley_text, load_cayley_file, load_perm_file, \
     make_group, save_cayley_file, validate_group, validate_table
 from groupalg.representation import lambda_matrix, rho_matrix
@@ -182,7 +183,7 @@ def test_closure_from_generators():
     assert single.n == 4 and single.is_commutative
 
 
-def test_closure_errors():
+def test_closure_errors(monkeypatch):
     with pytest.raises(SpecError):
         closure_from_generators(3, [(0, 1, 1)])
     with pytest.raises(SpecError):
@@ -191,6 +192,21 @@ def test_closure_errors():
         closure_from_generators(0, [()])
     with pytest.raises(SpecError):
         closure_from_generators(6, [(1, 2, 3, 4, 5, 0)], cap=5)
+    # S_8 (order 40320) under a cap outside 1..ORDER_CAP, or not an int: refused before the search
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return compose_perms(p, q)
+
+    monkeypatch.setattr(groups, "compose_perms", counting)
+    s8 = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
+    for cap in (ORDER_CAP + 1, 0, -5, float(ORDER_CAP), True, "5", None):
+        with pytest.raises(SpecError, match="cap"):
+            closure_from_generators(8, s8, cap=cap)
+    assert not calls
+    # the patch is live: a small closure goes through it
+    assert closure_from_generators(3, [(1, 0, 2), (1, 2, 0)], cap=6).n == 6 and calls
 
 
 def test_perm_file(tmp_path):

@@ -7,7 +7,7 @@ from groupalg import field as field_module, linalg
 from groupalg.errors import SpecError
 from groupalg.field import Field, make_field, parse_field_spec
 from groupalg.linalg import FMatrix, FPoly, charpoly, charpoly_xm, kernel_basis, \
-    lagrange_interpolate, rank, rref, solve, stack_matrices, xm_charpoly_values
+    lagrange_interpolate, rank, rref, solve, stack_matrices, xm_charpoly_stacks
 
 import oracles
 
@@ -293,8 +293,8 @@ def test_halved_node_charpolys_match_the_doubled_matrix():
         m[4:, :4] = a.data.T
         nodes = lambda ext: ext.elements(10)[1:]
         ext = a.field.extension(10)
-        half = xm_charpoly_values((a, a.transpose()), ext, nodes(ext))
-        full = xm_charpoly_values((FMatrix(a.field, m),), ext, nodes(ext))
+        half = np.concatenate(list(xm_charpoly_stacks((a, a.transpose()), ext, nodes(ext))))
+        full = np.concatenate(list(xm_charpoly_stacks((FMatrix(a.field, m),), ext, nodes(ext))))
         for x0, h, d in zip(nodes(ext).tolist(), half, full):
             xn = ext.pow(x0, 4)
             assert not d[1::2].any()

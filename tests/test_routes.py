@@ -22,15 +22,15 @@ from hypothesis import given, settings, strategies as st
 from groupalg import cli, dimension, linalg, representation
 from groupalg.algebra import AlgebraElem
 from groupalg.dimension import IdealSpec, _coset_dim, _coset_index, _dim_rank, \
-    _idempotent_rank, _largest_cycle, _membership_rank, _route, _route_dim, \
+    _idempotent_rank, _largest_cycle, _route, _route_dim, \
     annihilator_basis, dim_bound_charpoly, dim_ideal, element_charpoly, ideal_membership, \
     idempotent_generator
 from groupalg.errors import SpecError
 from groupalg.field import parse_field_spec
-from groupalg.gcode import _build_code_rank, build_code, code_to_text
+from groupalg.gcode import _code, build_code, code_to_text
 from groupalg.groups import cayley_to_text, group_from_cayley_text, make_group
-from groupalg.linalg import kernel_basis
-from groupalg.representation import rho_matrix, side_matrix
+from groupalg.linalg import kernel_basis, rank, rref
+from groupalg.representation import rho_matrix, side_matrix, stack
 
 FIELDS = ("gf:2", "gf:3", "gf:5", "gf:7", "gf:2^2", "gf:3^2")
 CYCLIC = ("cyclic:1", "cyclic:2", "cyclic:6", "cyclic:8", "cyclic:9", "cyclic:15", "cyclic:24",
@@ -93,6 +93,16 @@ def _annihilator_elim(f, side):
     target = f if side == "right" else f.star()
     vecs = [AlgebraElem(f.field, f.group, v) for v in kernel_basis(rho_matrix(target))]
     return [v.star() for v in vecs] if side == "right" else vecs
+
+
+def _membership_rank(h, spec):
+    """The elimination reference: h is a member when adding it keeps the rank."""
+    return rank(stack(spec.generators, spec.side)) == rank(stack(spec.generators + (h,), spec.side))
+
+
+def _build_code_rank(spec):
+    """The elimination reference: the code read off the RREF of the stacked matrices."""
+    return _code(spec, rref(stack(spec.generators, spec.side)))
 
 
 def _agree(gens, side, member):
