@@ -18,8 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .field import _DOT_BLOCK, Field
+from .field import Field
 from .groups import Group
+
+_GATHER_BLOCK = 1 << 22  # cap on the entries of one b[mul] column-block gather in a*b
 
 
 def _check_context(a: "AlgebraElem", b: "AlgebraElem") -> None:
@@ -88,7 +90,7 @@ class AlgebraElem:
         _check_context(self, other)
         # a*b = a[inv] . b[mul], k-th entry sum_i a(g_i^-1) b(g_i g_k), in column blocks
         g, a, b = self.group, self.coeffs[self.group.inv], other.coeffs
-        step = _DOT_BLOCK // g.n
+        step = _GATHER_BLOCK // g.n
         prod = np.empty(g.n, dtype=np.int64)
         for c in range(0, g.n, step):
             prod[c:c + step] = self.field.dot(a, b[g.mul[:, c:c + step]])

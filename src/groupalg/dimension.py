@@ -36,11 +36,9 @@ random nonzero nodes from a field with q - 1 > 2W instead: a lower bound on
 the dimension that is exact with probability at least 1 - (W / (q-1))^trials.
 Both routes reduce their node matrices a stack at a time, one charpoly kernel
 call a stack (linalg.xm_charpoly_stacks).  A stack holds
-max(1, _NODE_STACK // (n^3 w)) nodes, _NODE_STACK = 2^18 in field.py and w the
-m digits a product takes in a sum over an odd-characteristic extension field
-(else 1), and the random route draws a stack's nodes only when it reaches that
-stack.  Both routes stop after the first stack with valuation 0, where dim = n
-is proven.
+max(1, _NODE_STACK // n^3) nodes, _NODE_STACK = 2^18 in field.py, and the
+random route draws a stack's nodes only when it reaches that stack.  Both routes
+stop after the first stack with valuation 0, where dim = n is proven.
 Only mulmuley_charpoly interpolates the symbolic polynomial itself, and it
 keeps the unhalved 2n x 2n form.
 

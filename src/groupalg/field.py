@@ -17,6 +17,10 @@ over make_field(p) on poly.py's multiplication matrices mod the modulus:
 Rabin's irreducibility test picks the default modulus (the lex-first monic
 irreducible) and checks a given one, powers of the candidate's matrix find the
 primitive element, and the antilog table is the orbit of 1 under that matrix.
+Odd-characteristic extension fields never expand an element into digits: add
+and sub are Zech-log gathers (K. Huber, IEEE Trans. IT 36, 1990), and sum and
+dot add products as m packed base-p digit lanes of one int64 (J.-G. Dumas,
+L. Fousse and B. Salvy, J. Symb. Comp. 46, 2011), each product one gather.
 This module holds no polynomial arithmetic of its own.  Field.extension picks
 every extension that evaluation nodes live in (Mulmuley's routes and
 charpoly_xm) and refuses one past the cap with DomainError, the CLI's exit 3,
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -35,18 +40,14 @@ from .errors import DomainError, SpecError
 from .poly import FPoly, _gcd, _orbit, _prime_factors, _vecpow, _xmat
 
 _EXT_ORDER_LIMIT = 1 << 20   # extension fields need full log/exp tables
-_DIGIT_TABLE_LIMIT = 1 << 16  # digit forms of all q elements are kept up to this order
 _XOR_TABLE_MIN = 1 << 13     # GF(2^m) antilogs by XOR from here: faster than digits
 _MAX_PRIME = (1 << 31) - 1    # keeps a*b exact in int64
-_DOT_BLOCK = 1 << 22          # cap on temporary elements in a blocked dot
-# cap on N * n^3 * w, the int64 words of the products of a stack of N node matrices
-# of size n that linalg.xm_charpoly_stacks forms and sums together, w = Field._sum_width
-# (at least one node a stack).  The nine Mulmuley-exact inputs of the perfbench sweep
-# (seed 1, 2-core VM) took 112 ms at 2^16, 72 ms at 2^18 and 67 ms at 2^20, against
-# about 310 ms one node at a time; the tracemalloc peak of S_4 over gf:2 was 0.9,
-# 4.1 and 16.9 MiB.  Without w, the sweep's random route on order-48 groups over
-# odd-characteristic extension fields peaked at 15.9 MiB, against 8.0 MiB one node
-# at a time.
+_DOT_BLOCK = 1 << 14          # cap on the products a block of a dot's inner axis forms
+# cap on N * n^3, the products of a stack of N node matrices of size n that
+# linalg.xm_charpoly_stacks multiplies (at least one node a stack).  The nine
+# Mulmuley-exact inputs of the perfbench sweep (seed 1, 2-core VM) took 136 ms at
+# 2^16, 59 ms at 2^18 and 49 ms at 2^20; the tracemalloc peak of S_4 over gf:2 was
+# 0.4, 0.7 and 2.7 MiB, as Field.dot forms no stack-sized product array.
 _NODE_STACK = 1 << 18
 
 
@@ -157,14 +158,17 @@ class Field:
         self.q = p ** m
         self.modulus = modulus
         self._pow_vec = p ** np.arange(m, dtype=np.int64)
-        self._digit_table = None
-        # int64 words a summed element takes in sum()'s temporary: its m digits
-        # over odd-characteristic extension fields, else the element itself
-        self._sum_width = m if p > 2 and m > 1 else 1
+        # sums run in sum forms: residues (prime fields), encodings under XOR (GF(2^m)),
+        # or m packed base-p digit lanes of _bits bits (other extension fields), so a
+        # sum of _cap forms, each lane at most p - 1, stays below 2^_bits: exact in int64
+        self._op = np.bitwise_xor if p == 2 and m > 1 else np.add
+        self._bits = 63 // m if p > 2 and m > 1 else 63
+        self._cap = ((1 << self._bits) - 1) // (p - 1)
+        self._shifts = self._bits * np.arange(m, dtype=np.int64)
         if m > 1:
             self._build_ext_tables()
-            if p > 2 and self.q <= _DIGIT_TABLE_LIMIT:  # GF(2^m) reads no digits
-                self._digit_table = self._digits_raw(np.arange(self.q, dtype=np.int64))
+        if m > 1 and p > 2:
+            self._build_zech_and_lanes()
 
     # -- construction helpers --
 
@@ -197,7 +201,36 @@ class Field:
         inv = np.zeros(q, dtype=np.int64)
         inv[exp] = exp[(q - 1 - np.arange(q - 1)) % (q - 1)]
         self._exp = np.concatenate([exp, exp, np.zeros(2 * (q - 1) + 1, dtype=np.int64)])
-        self._log, self._inv_table = log, inv
+        self._log, self._inv_table, self._sum_table = log, inv, self._exp
+
+    def _build_zech_and_lanes(self):
+        """Odd-p tables, with no digit array.  a + b = exp[log a + Z[log b - log a]]:
+        Z holds log(1 + g^d) for |d| < q-1 (the encoding of 1 + e is
+        e - e mod p + (e mod p + 1) mod p, and 1 + e = 0 gives the sentinel
+        2(q-1)), 0 for d >= q-1 (b = 0) and d itself for d <= -(q-1) (a = 0);
+        negative d index from the end, as numpy does.  _sum_table holds g^k as
+        m lanes of _bits bits, two periods then one zero, which take(mode="clip")
+        returns for every log sum with a zero factor."""
+        p, m, q, S = self.p, self.m, self.q, 2 * (self.q - 1)
+        exp = self._exp[:q - 1]  # in place where it can: each temporary is q words
+        low = exp % p
+        ones = exp - low
+        low += 1
+        low %= p
+        ones += low
+        ones = self._log[ones]
+        self._zech = np.zeros(2 * S + 1, dtype=np.int32)
+        self._zech[:q - 1], self._zech[-(q - 2):] = ones, ones[1:]
+        self._zech[-S:-(q - 1)] = np.arange(-S, -(q - 1))
+        del ones
+        lanes, rest = np.zeros(S + 1, dtype=np.int64), exp.copy()
+        for i in range(m):
+            np.remainder(rest, p, out=low)
+            low <<= self._bits * i
+            lanes[:q - 1] |= low
+            rest //= p
+        lanes[q - 1:S] = lanes[:q - 1]
+        self._sum_table = lanes
 
     def _xor_antilog(self, img):
         """The doubling above for large GF(2^m), with no digit form: a * gen^k is
@@ -213,20 +246,6 @@ class Field:
             img = times(img, img)
         return exp
 
-    def _digits_raw(self, a):
-        # base-p digit planes, trailing axis of length m
-        out = np.empty(a.shape + (self.m,), dtype=np.int64)
-        rest = a
-        for i in range(self.m):
-            out[..., i] = rest % self.p
-            rest = rest // self.p
-        return out
-
-    def _digits(self, a):
-        if self._digit_table is not None:
-            return self._digit_table[a]
-        return self._digits_raw(a)
-
     # -- arithmetic (broadcasts over int64 arrays, exact) --
 
     def add(self, a, b):
@@ -236,8 +255,8 @@ class Field:
             return _ret((a + b) % self.p)
         if self.p == 2:
             return _ret(a ^ b)
-        s = (self._digits(a) + self._digits(b)) % self.p
-        return _ret(s @ self._pow_vec)
+        la = self._log[a]  # Zech: a + b = a (1 + b/a), see _build_zech_and_lanes
+        return _ret(self._exp[la + self._zech[self._log[b] - la]])
 
     def neg(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -255,8 +274,7 @@ class Field:
             return _ret((a - b) % self.p)
         if self.p == 2:
             return _ret(a ^ b)
-        s = (self._digits(a) - self._digits(b)) % self.p
-        return _ret(s @ self._pow_vec)
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -301,31 +319,25 @@ class Field:
         return _ret(np.asarray(out))
 
     def sum(self, a, axis=None):
-        """Field sum along an axis (axis=None sums everything): one integer
-        sum mod p over prime fields, one XOR reduction over GF(2^m), and a
-        digit-wise sum over other extension fields."""
+        """Field sum along an axis (axis=None sums everything): an integer sum
+        mod p over prime fields, an XOR reduction over GF(2^m), and a sum of
+        packed digit lanes (two gathers an element) over other extension fields."""
         a = np.asarray(a, dtype=np.int64)
-        if self.m == 1:
-            # (p-1) * a.size stays well inside int64 at desk scale
-            return _ret(a.sum(axis=axis) % self.p)
-        if self.p == 2:
-            return _ret(np.bitwise_xor.reduce(a, axis=axis))
-        d = self._digits(a)
         if axis is None:
-            s = d.reshape(-1, self.m).sum(axis=0) % self.p
-        else:
-            s = d.sum(axis=axis % a.ndim) % self.p
-        return _ret(s @ self._pow_vec)
+            a, axis = a.reshape(-1), 0
+        if self.p > 2 and self.m > 1:
+            a = self._sum_table.take(self._log[a], mode="clip")
+        return _ret(self._settle(self._reduce(a, axis)))
 
     def dot(self, a, b):
         """Exact product a @ b with numpy's `@` shapes, leading stack axes included.
 
         This is the one place that forms sums of products over the field.
-        Prime fields use one int64 matmul while inner * (p-1)^2 < 2^63;
-        otherwise reduced products are summed a block at a time, each block
-        holding at most _DOT_BLOCK products (or one row's worth): a block of
-        rows for 1-d and 2-d operands, and for stacks the whole stack when it
-        fits, else one member at a time (_dot_stack).
+        Prime fields use one int64 matmul while inner * (p-1)^2 < 2^63.
+        Otherwise the inner axis is taken a block at a time, each block at most
+        _DOT_BLOCK products (or one inner index's worth), and the block sums
+        accumulate into the output in sum form.  Over an extension field each
+        product is one gather from its log sum.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -335,41 +347,48 @@ class Field:
         if self.m == 1 and inner * (self.p - 1) ** 2 < 1 << 63:
             # inner products of residues < p sum to less than 2^63: exact in int64
             return _ret((a @ b) % self.p)
-        if a.ndim > 2 or b.ndim > 2:
-            return self._dot_stack(a, b)
-        # otherwise sum reduced products, at most _DOT_BLOCK of them at a time
-        if a.ndim == 1:
-            if b.ndim == 1 or b.size <= _DOT_BLOCK:
-                return self.sum(self.mul(a[:, None] if b.ndim == 2 else a, b), axis=0)
-            a, b = b.T, a  # v @ M == M.T @ v, blocked below
-        if b.ndim == 2:
-            a = a[:, :, None]  # row i of the product sums a[i, :, None] * b over axis 1
-        if a.shape[0] * b.size <= _DOT_BLOCK:  # each row of a makes b.size products
-            return self.sum(self.mul(a, b), axis=1)
-        step = max(1, _DOT_BLOCK // b.size)
-        out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.int64)
-        for i in range(0, a.shape[0], step):
-            out[i:i + step] = self.sum(self.mul(a[i:i + step], b), axis=1)
-        return out
-
-    def _dot_stack(self, a, b):
-        """dot for operands with stack axes, summing reduced products: all at once
-        when the broadcast stack makes at most _DOT_BLOCK of them, else member by
-        member through the 2-d dot, which blocks rows."""
         va, vb = a.ndim == 1, b.ndim == 1
         a = (a[None] if va else a)[..., None]  # (..., rows, inner, 1)
         b = (b[:, None] if vb else b)[..., None, :, :]  # (..., 1, inner, cols)
-        prods = np.broadcast(a, b)
-        if prods.size <= _DOT_BLOCK:
-            out = self.sum(self.mul(a, b), axis=-2)
-        else:
-            batch = prods.shape[:-3]
-            a = np.broadcast_to(a[..., 0], batch + a.shape[-3:-1])
-            b = np.broadcast_to(b[..., 0, :, :], batch + b.shape[-2:])
-            out = np.empty(batch + (a.shape[-2], b.shape[-1]), dtype=np.int64)
-            for idx in np.ndindex(batch):
-                out[idx] = self.dot(a[idx], b[idx])
-        return out[..., 0, :] if va else out[..., 0] if vb else out
+        if self.m > 1:
+            a, b = self._log[a], self._log[b]
+        shape = np.broadcast(a, b).shape  # (..., rows, inner, cols)
+        # each block makes at most _DOT_BLOCK products, and its sum of step <= _cap - 1
+        # forms joins an output that holds at most one more term
+        step = max(1, min(_DOT_BLOCK * inner // max(math.prod(shape), 1), self._cap - 1))
+        held = 0
+        for k in range(0, max(inner, 1), step):  # one empty block when inner = 0
+            x, y = a[..., k:k + step, :], b[..., k:k + step, :]
+            prods = x * y % self.p if self.m == 1 else self._sum_table.take(x + y, mode="clip")
+            prods = prods[..., 0, :] if prods.shape[-2] == 1 else self._reduce(prods, -2)
+            if held + step > self._cap:
+                out, held = self._settle(out, final=False), 1
+            out = prods if k == 0 else self._op(out, prods, out=out)
+            held += step
+        shape = shape[:-3] + shape[-3:-2] * (not va) + shape[-1:] * (not vb)
+        return _ret(self._settle(out).reshape(shape))
+
+    def _reduce(self, v, axis):
+        """Sum forms summed along axis, renormalized every _cap terms."""
+        while v.shape[axis] > self._cap:
+            starts = np.arange(0, v.shape[axis], self._cap)
+            v = self._settle(self._op.reduceat(v, starts, axis=axis), final=False)
+        return self._op.reduce(v, axis=axis)
+
+    def _settle(self, v, final=True):
+        """Sum forms as elements (final) or as forms of one term: residues mod p,
+        GF(2^m) encodings as they are, and each digit lane mod p, placed at p^i
+        (final) or back in its lane."""
+        if self.m == 1:
+            return v % self.p
+        if self.p == 2:
+            return v
+        shifts = self._shifts.reshape((-1,) + (1,) * np.ndim(v))  # lanes first: long loops
+        lanes = v >> shifts & (1 << self._bits) - 1
+        # lane mod p: numpy's unsigned // by a scalar runs about 3x faster than int64 %
+        lanes -= (lanes.view(np.uint64) // self.p).view(np.int64) * self.p
+        lanes *= self._pow_vec.reshape(shifts.shape) if final else 1 << shifts
+        return lanes.sum(axis=0)
 
     def extension(self, min_order: int) -> "Field":
         """The smallest GF(q^t), t >= 1, with at least min_order elements.
@@ -511,12 +530,10 @@ class Embedding:
         if roots.size == 0:
             raise SpecError("modulus has no root in the destination field")
         self.root = int(roots[0])
-        digits = src._digits(np.arange(src.q, dtype=np.int64))
-        table = np.zeros(src.q, dtype=np.int64)
-        rpow = 1
-        for i in range(src.m):
-            table = dst.add(table, dst.mul(digits[:, i], rpow))
-            rpow = dst.mul(rpow, self.root)
+        rest, table, rpow = np.arange(src.q, dtype=np.int64), 0, 1
+        for _ in range(src.m):  # digit i of a maps to digit i times root^i
+            table = dst.add(table, dst.mul(rest % src.p, rpow))
+            rest, rpow = rest // src.p, dst.mul(rpow, self.root)
         self._table = table
 
     def __call__(self, a):

@@ -12,11 +12,10 @@ _charpoly_data, does this for a single matrix or for a stack of them, each
 step once over the whole stack; charpoly, the cyclotomic blocks of
 dimension.py and every node charpoly run through it.  The node charpolys of
 X . M, X = diag(1, x, ..., x^{n-1}), come a stack of nodes at a time
-(xm_charpoly_stacks): a stack holds max(1, _NODE_STACK // (n^3 w)) nodes, w the
-int64 words a product takes while it is summed (1, or the m digits over an
-odd-characteristic extension field), so the node products of a stack stay
-within field._NODE_STACK, and a caller that has its answer stops before later
-nodes are built or drawn (Mulmuley's routes stop at valuation 0).  The
+(xm_charpoly_stacks): a stack holds max(1, _NODE_STACK // n^3) nodes, so the
+node products of a stack stay within field._NODE_STACK (Field.dot forms them a
+block of its inner axis at a time), and a caller that has its answer stops
+before later nodes are built or drawn (Mulmuley's routes stop at valuation 0).  The
 symbolic variant charpoly_xm evaluates at extension-field nodes and
 interpolates each z-coefficient by Newton's divided differences.  Polynomial
 arithmetic and FPoly, the polynomial type charpoly returns, live in poly.py.
@@ -236,7 +235,7 @@ def _charpoly_data(field: Field, a: np.ndarray) -> np.ndarray:
     subdiagonal, a member whose subcolumn is zero skips the step, and only the
     rows whose multiplier is nonzero in some member are updated.  A charpoly is
     unique, so the stack a matrix shares changes none of its coefficients.
-    Callers size the stacks: xm_charpoly_stacks keeps N n^3 w within
+    Callers size the stacks: xm_charpoly_stacks keeps N n^3 within
     _NODE_STACK and may stop after any stack; the other callers pass one matrix.
     """
     single = a.ndim == 2
@@ -372,10 +371,9 @@ def xm_charpoly_stacks(factors, ext: Field, nodes):
     factor M gives X . M and two factors F, F^T give (X . F)(X . F^T).  The
     nodes lie in ext, an extension of the matrix field (Field.extension picks
     it), and are read from the iterable nodes one stack at a time: a stack holds
-    max(1, _NODE_STACK // (n^3 w)) nodes, so the N n^3 products of its node
-    matrices, w int64 words each while they are summed (Field._sum_width: the m
-    digits over odd-characteristic extension fields, else 1), stay within that
-    cap, and _charpoly_data reduces the whole stack in one call.
+    max(1, _NODE_STACK // n^3) nodes, so the N n^3 products of its node
+    matrices stay within that cap, and _charpoly_data reduces the whole stack
+    in one call.
     A caller that has its answer stops iterating, and later nodes are then
     never drawn.
 
@@ -386,7 +384,7 @@ def xm_charpoly_stacks(factors, ext: Field, nodes):
     f = factors[0].field
     n = factors[0].rows
     mds = [embedding(f, ext)(m.data) for m in factors]
-    nodes, size = iter(nodes), max(1, _NODE_STACK // (n ** 3 * ext._sum_width))
+    nodes, size = iter(nodes), max(1, _NODE_STACK // n ** 3)
     while (xs := np.fromiter(itertools.islice(nodes, size), dtype=np.int64)).size:
         # row i holds 1, x_i, ..., x_i^{n-1}: the diagonal of X at node x_i, by doubling
         xpow, xh, h = np.ones((xs.size, n), dtype=np.int64), xs, 1

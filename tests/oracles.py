@@ -29,7 +29,13 @@ ORACLE_MODULI = {
 class OracleField:
     """Finite field arithmetic on integer encodings sum(c_i p^i)."""
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, modulus=None):
+        if modulus is not None:  # any order, with the given monic modulus (low-to-high)
+            self.m = len(modulus) - 1
+            self.p, self.q, self.modulus = round(q ** (1 / self.m)), q, tuple(modulus)
+            if self.p ** self.m != q:
+                raise ValueError(f"order {q} is not a power of degree {self.m}")
+            return
         p = None
         for cand in (2, 3, 5, 7, 11, 13):
             m = 0

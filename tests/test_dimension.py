@@ -413,12 +413,12 @@ def test_mulmuley_random_draws_its_nodes_a_stack_at_a_time(monkeypatch):
     del shapes[:]
     assert dim_mulmuley_random(one + y, "left", trials=10 ** 12) == 3
     assert len(shapes) == 1 and shapes[0][0] * 27 <= field_module._NODE_STACK, shapes
-    # over GF(3^6) a summed product takes its 6 digits: stacks of 2^18 // (24^3 * 6) = 3
+    # over GF(3^6) too a stack holds 2^18 // 24^3 = 18 nodes: the 7 trials are one stack
     f3, s4 = _ctx("gf:3", "symmetric:4")
     a = _modular_elements(f3, s4, random.Random(54))[0]
     del shapes[:]
     assert dim_mulmuley_random(a, "left", trials=7) <= dim_ideal(_left(a)) < 24
-    assert [s[0] for s in shapes] == [3, 3, 1], shapes
+    assert [s[0] for s in shapes] == [7], shapes
 
 
 def test_mulmuley_exact_memory_on_s4():
@@ -432,6 +432,21 @@ def test_mulmuley_exact_memory_on_s4():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20, peak
+
+
+def test_mulmuley_random_memory_over_an_odd_extension_node_field():
+    # order 48 over gf:3 takes its nodes in GF(3^8): products summed in packed lanes,
+    # a block of the inner axis at a time (8.0 MiB with a digit array per product)
+    f, g = _ctx("gf:3", "product:symmetric:4,cyclic:2")
+    a = random_element(f, g, random.Random(55))
+    dim_mulmuley_random(a, "left", trials=3, seed=5)  # tables are built outside
+    tracemalloc.start()
+    try:
+        dim_mulmuley_random(a, "left", trials=3, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, peak
 
 
 def test_mulmuley_random_refuses_a_seed_that_is_not_an_int():

@@ -585,3 +585,138 @@ def test_gf2_20_tables_build_without_a_digit_array():
         tracemalloc.stop()
     assert peak < 100 << 20, peak
     assert f.mul(f._exp[12345], f._exp[(1 << 20) - 1 - 12345]) == 1
+
+
+# odd-characteristic extension fields: Zech-log add/sub and packed-lane sum/dot
+ODD_EXT_FIELDS = ((3, 2), (3, 8), (5, 5), (7, 4), (3, 12), (1021, 2))
+
+
+def _odd_ext(p, m):
+    f = make_field(p, m)
+    return f, OracleField(f.q, f.modulus)
+
+
+def _oracle_dot(o, a, b):
+    """a @ b by the oracle, numpy's shapes: 1-d operands and broadcast stacks."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 1 and b.ndim == 1:
+        total = 0
+        for x, y in zip(a.tolist(), b.tolist()):
+            total = o.add(total, o.mul(x, y))
+        return total
+    if a.ndim == 1:
+        return _oracle_dot(o, a[None], b)[..., 0, :]
+    if b.ndim == 1:
+        return _oracle_dot(o, a, b[:, None])[..., 0]
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, stack + a.shape[-2:])
+    b = np.broadcast_to(b, stack + b.shape[-2:])
+    out = np.zeros(stack + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+    for idx in np.ndindex(*stack, a.shape[-2], b.shape[-1]):
+        out[idx] = _oracle_dot(o, a[idx[:-1]], b[idx[:-2]][:, idx[-1]])
+    return out
+
+
+def test_odd_extension_add_sub_neg_match_the_oracle():
+    rng = random.Random(25)
+    for p, m in ODD_EXT_FIELDS:
+        f, o = _odd_ext(p, m)
+        a = [0, 1, p - 1, p, f.q - 1] + [rng.randrange(f.q) for _ in range(40)]
+        neg = [o.neg(x) for x in a]
+        for b in ([0] * len(a), a, neg, [rng.randrange(f.q) for _ in a]):
+            xs, ys = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+            assert f.add(xs, ys).tolist() == [o.add(x, y) for x, y in zip(a, b)], (p, m)
+            assert f.sub(xs, ys).tolist() == [o.sub(x, y) for x, y in zip(a, b)], (p, m)
+        assert f.neg(np.array(a)).tolist() == neg, (p, m)
+        xs = np.array(a, dtype=np.int64)
+        assert not f.add(xs, np.array(neg)).any() and not f.sub(xs, xs).any(), (p, m)
+        # 0-d operands, ints or numpy, give plain ints
+        for x, y in ((0, 0), (a[5], 0), (0, a[6]), (a[7], a[7]), (a[8], neg[8]), (a[9], a[10])):
+            for got, want in ((f.add(x, y), o.add(x, y)), (f.sub(np.int64(x), y), o.sub(x, y)),
+                              (f.add(np.array(x), np.array(y)), o.add(x, y)),
+                              (f.neg(np.int64(x)), o.neg(x))):
+                assert type(got) is int and got == want, (p, m, x, y)
+        # broadcasting, as numpy does
+        col, row = np.array(a[:6])[:, None], np.array(a[6:10])[None, :]
+        assert f.add(col, row).tolist() == [[o.add(x, y) for y in a[6:10]] for x in a[:6]]
+        assert f.sub(col, row).tolist() == [[o.sub(x, y) for y in a[6:10]] for x in a[:6]]
+        assert f.add(np.zeros(0, dtype=np.int64), 1).shape == (0,)
+
+
+def test_odd_extension_sum_and_dot_match_the_oracle():
+    rng = random.Random(26)
+    for p, m in ODD_EXT_FIELDS:
+        f, o = _odd_ext(p, m)
+
+        def rand(*shape):
+            return np.array(rng.choices(range(f.q), k=int(np.prod(shape))),
+                            dtype=np.int64).reshape(shape)
+
+        def fold(xs):
+            total = 0
+            for x in np.ravel(xs).tolist():
+                total = o.add(total, x)
+            return total
+
+        v = rand(3, 4, 5)
+        whole = f.sum(v)
+        assert type(whole) is int and whole == fold(v), (p, m)
+        for axis in (0, 1, 2, -1, -2):
+            got = f.sum(v, axis=axis)
+            want = np.apply_along_axis(fold, axis, v)
+            assert got.tolist() == want.tolist(), (p, m, axis)
+        assert f.sum(np.zeros(0, dtype=np.int64)) == 0
+        assert f.sum(np.zeros((0, 3), dtype=np.int64), axis=0).tolist() == [0, 0, 0]
+        assert f.sum(np.zeros((3, 0), dtype=np.int64), axis=-1).tolist() == [0, 0, 0]
+        x, y = rand(6), rand(6)
+        got = f.dot(x, y)
+        assert type(got) is int and got == _oracle_dot(o, x, y), (p, m)
+        assert f.dot(x, np.zeros(6, dtype=np.int64)) == 0
+        assert f.dot(x, np.ones(6, dtype=np.int64)) == fold(x), (p, m)
+        for sa, sb in (((3, 6), (6, 2)), ((6,), (6, 2)), ((3, 6), (6,)), ((2, 1, 3, 6), (4, 6, 2)),
+                       ((6,), (4, 6, 2)), ((4, 3, 6), (6,)), ((3, 0), (0, 2)), ((0, 6), (6, 2)),
+                       ((0,), (0,))):
+            a, b = rand(*sa), rand(*sb)
+            got, want = f.dot(a, b), _oracle_dot(o, a, b)
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (p, m, sa, sb)
+
+
+def test_lane_sums_at_the_renormalization_edge():
+    # GF(3^12) packs 12 lanes of 63 // 12 = 5 bits: 31 // 2 = 15 terms fill a lane
+    f, o = _odd_ext(3, 12)
+    assert (f._bits, f._cap) == (5, 15)
+    top = f.q - 1  # every digit 2: each term adds p - 1 to every lane
+    rng = random.Random(27)
+    for inner in (15, 16, 31, 46):
+        want = o.undigits([2 * inner % 3] * 12)
+        assert f.sum(np.full(inner, top)) == want, inner
+        assert f.sum(np.full((2, inner), top), axis=1).tolist() == [want] * 2, inner
+        assert f.sum(np.full((inner, 3), top), axis=0).tolist() == [want] * 3, inner
+        ones = np.ones(inner, dtype=np.int64)
+        assert f.dot(np.full(inner, top), ones) == want, inner
+        a, b = np.full((2, inner), top), np.ones((inner, 3), dtype=np.int64)
+        assert f.dot(a, b).tolist() == [[want] * 3] * 2, inner
+        a, b = np.array(rng.choices(range(f.q), k=2 * inner)).reshape(2, inner), \
+            np.array(rng.choices(range(f.q), k=inner * 2)).reshape(inner, 2)
+        assert f.dot(a, b).tolist() == _oracle_dot(o, a, b).tolist(), inner
+
+
+# tables of the parent layout (int64 antilog of two periods and zeros, log, inverse),
+# and the tracemalloc peak while they were built, in MiB
+DIGIT_FREE_BUILDS = {(3, 12): (24.3, 52.7), (7, 7): (37.7, 56.6), (1021, 2): (47.7, 71.6)}
+
+
+def test_odd_extension_tables_stay_small():
+    # the Zech table (int32) and the lane table (one zero, read with mode="clip")
+    # hold under 3/4 of the other tables again, and building them adds no digit array
+    for (p, m), (tables, peak) in DIGIT_FREE_BUILDS.items():
+        tracemalloc.start()
+        try:
+            f = Field(p, m)
+            _, got_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        got = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
+        assert got <= 1.75 * tables * 2 ** 20, (p, m, got)
+        assert got_peak <= 1.5 * peak * 2 ** 20, (p, m, got_peak)
+        assert f.add(f.q - 1, 1) == f.q - p and f.sub(0, 1) == p - 1

@@ -361,9 +361,9 @@ def _stack_members(rng, f, s):
 
 def test_stacked_charpoly_matches_the_oracle_and_single_members(monkeypatch):
     calls = []
-    real = Field._dot_stack
-    monkeypatch.setattr(Field, "_dot_stack",
-                        lambda self, a, b: calls.append(self.q) or real(self, a, b))
+    real = Field._reduce
+    monkeypatch.setattr(Field, "_reduce",
+                        lambda self, v, axis: calls.append((self.q, v.ndim)) or real(self, v, axis))
     rng = random.Random(23)
     for spec in STACK_FIELDS:
         f = parse_field_spec(spec)
@@ -378,8 +378,9 @@ def test_stacked_charpoly_matches_the_oracle_and_single_members(monkeypatch):
                     assert row == want[i], (spec, s, idx, i)
                     assert row == linalg._charpoly_data(f, stack[pos:pos + 1])[0].tolist()
                     assert row == linalg._charpoly_data(f, members[i]).tolist()
-    # inner * (p-1)^2 reaches 2^63 from inner = 3 on: the largest prime sums blockwise
-    assert (1 << 31) - 1 in calls
+    # inner * (p-1)^2 reaches 2^63 from inner = 3 on: the largest prime sums stacked
+    # (N, rows, block, cols) products blockwise
+    assert ((1 << 31) - 1, 4) in calls
 
 
 def test_stacked_dot_equals_a_loop_of_2d_dots(monkeypatch):
@@ -394,7 +395,7 @@ def test_stacked_dot_equals_a_loop_of_2d_dots(monkeypatch):
 
         a, b = rand(4, 3, 5), rand(4, 5, 2)
         want = np.stack([f.dot(a[i], b[i]) for i in range(4)])
-        # the whole stack at once, then (a 7-product block) member by member, row by row
+        # one block of the inner axis, then (a 7-product block) one inner index a block
         for block in (None, 7):
             if block is not None:
                 monkeypatch.setattr(field_module, "_DOT_BLOCK", block)
