@@ -7,19 +7,6 @@ characteristic polynomial z^k * g(z), g(0) != 0, the dimension lies in
 [n - k, n - 1] when k >= 1 and equals n when k = 0; the lower bound is
 attained when k = 1 (the bounds meet) and whenever f is idempotent.
 
-On a cyclic group the charpoly comes from small blocks, with no n x n matrix
-(element_charpoly).  Read f as a polynomial in F[y]/(y^n - 1) and write n = m p^v,
-p the characteristic, p not dividing m.  Three facts give
-chi(z) = (prod over d | m of det(zI - M_d))^(p^v), M_d the phi(d) x phi(d) matrix of
-multiplication by f mod the cyclotomic polynomial Phi_d:
-- y^n - 1 = (y^m - 1)^(p^v), and multiplication by f on F[y]/(g^e) has the charpoly
-  of F[y]/(g) to the power e (filter by the ideals g^i);
-- y^m - 1 = prod over d | m of Phi_d, pairwise coprime since p does not divide m (CRT);
-- in characteristic p, (sum c_i z^i)^(p^v) = sum c_i^(p^v) z^(i p^v).
-(Lidl and Niederreiter, Finite Fields, 2.3, charpolys as norms; MacWilliams and
-Sloane, ch. 7, 5, the factors of y^n - 1.)  rho(f) is permutation-similar across basis
-orders and equals lambda(f) on a commutative group, so one charpoly serves both sides.
-
 Two further routes avoid computing the rank directly.  Both follow Mulmuley:
 with M the symmetrized block matrix [[0, F], [F^T, 0]] of size 2n and
 X = diag(1, x, ..., x^{2n-1}), the z-adic valuation of det(zI - X*M) with x
@@ -54,6 +41,18 @@ the generators' matrices (f* for right ideals) on (y^o - 1) I; with d_1..d_s the
 diagonal of its Hermite form over F[y], dim = s o - sum deg d_j (Howell 1986;
 Storjohann and Mulders 1998).  Non-cyclic groups take this route when
 o >= _HERMITE_MIN_ORDER = 32, the measured crossover with elimination.
+
+The charpoly takes the same matrix M (of f* for the right side: lambda(f) is
+permutation-similar to rho(f*)) on every group, C_n being s = 1, with no n x n matrix
+(element_charpoly).  Write o = m p^v, p the characteristic, p not dividing m.  Then
+chi(z) = (prod over d | m of det(zI - B_d))^(p^v), B_d the s phi(d) x s phi(d) matrix
+of M mod the cyclotomic polynomial Phi_d, by three facts:
+- y^o - 1 = (y^m - 1)^(p^v), and M on (F[y]/(g^e))^s has the charpoly of M mod g to
+  the power e (filter by the submodules g^i (F[y]/(g^e))^s);
+- y^m - 1 = prod over d | m of Phi_d, pairwise coprime since p does not divide m (CRT);
+- in characteristic p, (sum c_i z^i)^(p^v) = sum c_i^(p^v) z^(i p^v).
+(Lidl and Niederreiter, Finite Fields, 2.3, charpolys as norms; Bourbaki, Algebra,
+III 9, over a commutative algebra; MacWilliams and Sloane, ch. 7, 5, y^n - 1.)
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ import numpy as np
 
 from .algebra import AlgebraElem, _check_context
 from .errors import DomainError, SpecError
-from .linalg import FMatrix, RrefResult, XCharPoly, _charpoly_data, _kernel_vectors, charpoly, \
-    charpoly_xm, rank, rref, solve, xm_charpoly_stacks
+from .linalg import FMatrix, RrefResult, XCharPoly, _charpoly_data, _kernel_vectors, charpoly_xm, \
+    rank, rref, solve, xm_charpoly_stacks
 from .poly import FPoly, _cmul, _cyclotomic, _divmod, _gcd, _hermite_dim, _ideal_gcd, \
     _poly_mul, _prime_factors, _trim
 from .representation import check_side, side_matrix, stack
@@ -160,13 +159,13 @@ def _detect(g):
     pw = _largest_cycle(g.mul)
     if pw.size == g.n:
         return "cyclic", pw
-    return ("cosets", _coset_index(g, pw)) if pw.size >= _HERMITE_MIN_ORDER else (None, None)
+    return "cosets" if pw.size >= _HERMITE_MIN_ORDER else None, _coset_index(g, pw)
 
 
 def _route(group):
-    """('cyclic', order[k] = y^k), ('cosets', _coset_index) when the largest cyclic
-    subgroup reaches the gate, else (None, None); read off the table on first use
-    and cached on the group."""
+    """('cyclic', order[k] = y^k), else (kind, _coset_index) with kind 'cosets' when
+    the largest cyclic subgroup reaches the gate of the dimension route and None
+    below it; read off the table on first use and cached on the group."""
     if group._route is None:
         group._route = _detect(group)
     return group._route
@@ -194,34 +193,34 @@ def _route_dim(spec):
     return None if kind is None else _coset_dim(spec, data)
 
 
-def _cyclic_charpoly(F, a):
-    """Coefficients of det(zI - rho(f)) for f = sum a_k y^k in F[y]/(y^n - 1).
-
-    With n = m p^v, p the characteristic and p not dividing m, it is the p^v-th
-    power of the product over d | m of det(zI - M_d), M_d the matrix of f mod Phi_d.
-    Row i of M_d is y^i f mod Phi_d: the i-th row of the circulant of f mod y^d - 1,
-    its columns j >= phi(d) folded back by the rows y^j mod Phi_d.
-    """
-    n, p = a.size, F.p
-    m, pv = n, 1
+def _coset_charpoly(F, a):
+    """Coefficients of det(zI - rho(f)) from the s x s matrix a = f[idx] over
+    F[y]/(y^o - 1) (module docstring).  Block (i, j) of B_d multiplies by a_ij mod
+    Phi_d: its row u is y^u a_ij mod Phi_d, the u-th row of the circulant of a_ij
+    mod y^d - 1, its columns w >= phi(d) folded back by the rows y^w mod Phi_d."""
+    s, o, p = a.shape[0], a.shape[2], F.p
+    m, pv = o, 1
     while m % p == 0:
         m, pv = m // p, pv * p
-    b = F.sum(a.reshape(pv, m), axis=0) if pv > 1 else a
+    b = F.sum(a.reshape(s, s, pv, m), axis=2) if pv > 1 else a
     cp = np.ones(1, dtype=np.int64)
     for d in (d for d in range(1, m + 1) if m % d == 0):
-        c = F.sum(b.reshape(m // d, d), axis=0) if d < m else b
+        c = F.sum(b.reshape(s, s, m // d, d), axis=2) if d < m else b
         phi = np.array(_cyclotomic(d), dtype=np.int64) % p  # F_p embeds by identity
         k = phi.size - 1
-        if k == 1:  # d = 1 or 2: z - f(1) or z - f(-1)
-            block = np.array([F.neg(int(c[0])) if d == 1 else F.sub(int(c[1]), int(c[0])), 1])
+        if k == 1:  # d = 1 or 2: M(1) or M(-1)
+            blk = c[..., 0] if d == 1 else F.sub(c[..., 0], c[..., 1])
         else:
             fold = np.zeros((d - k, k), dtype=np.int64)  # row j: y^(k+j) mod Phi_d
             fold[0] = -phi[:k] % p
             for j in range(1, d - k):
                 fold[j, 1:] = fold[j - 1, :-1]
                 fold[j] = (fold[j] - fold[j - 1, -1] * phi[:k]) % p
-            circ = c[(np.arange(d) - np.arange(k)[:, None]) % d]
-            block = _charpoly_data(F, F.add(circ[:, :k], F.dot(circ[:, k:], fold)))
+            circ = c[..., (np.arange(d) - np.arange(k)[:, None]) % d]
+            blk = F.add(circ[..., :k], F.dot(circ[..., k:], fold))
+            blk = blk.transpose(0, 2, 1, 3).reshape(s * k, s * k)
+        # a 1 x 1 block is z - f(1) or z - f(-1)
+        block = np.array([F.neg(int(blk[0, 0])), 1]) if blk.size == 1 else _charpoly_data(F, blk)
         cp = _poly_mul(F, *sorted((block, cp), key=len))  # loops over the smaller factor
     if pv == 1:
         return cp
@@ -232,14 +231,12 @@ def _cyclic_charpoly(F, a):
 
 
 def element_charpoly(f: AlgebraElem, side: str = "left") -> FPoly:
-    """det(zI - F) for F = side_matrix(f, side).  On a cyclic group F is never built:
-    the charpoly is a product of cyclotomic blocks (_cyclic_charpoly), the same on
-    both sides and in every basis order.  Other groups reduce F to Hessenberg form."""
+    """det(zI - F) for F = side_matrix(f, side), never built: a product of cyclotomic
+    blocks over the cosets of a largest cyclic subgroup (_coset_charpoly)."""
     check_side(side)
-    kind, order = _route(f.group)
-    if kind != "cyclic":
-        return charpoly(side_matrix(f, side))
-    return FPoly(f.field, _cyclic_charpoly(f.field, f.coeffs[order]))
+    kind, idx = _route(f.group)
+    a = (f.star() if side == "right" else f).coeffs[idx[None, None] if kind == "cyclic" else idx]
+    return FPoly(f.field, _coset_charpoly(f.field, a))
 
 
 def _cyclic_idempotent(F, g, n: int):
@@ -297,8 +294,8 @@ def dim_bound_charpoly(f: AlgebraElem, side: str = "left") -> DimBound:
     the representation matrix: k = 0 means the matrix is invertible and the
     ideal is all of A (dim n, exact); otherwise n - k <= dim <= n - 1, and
     the lower bound is the dimension when k = 1 (the bounds meet) and
-    whenever f is idempotent.  The charpoly is element_charpoly's: cyclotomic
-    blocks on a cyclic group, a Hessenberg reduction of the matrix otherwise.
+    whenever f is idempotent.  The charpoly is element_charpoly's, from
+    cyclotomic blocks over the cosets of a largest cyclic subgroup.
     """
     cp = element_charpoly(f, side)
     k = cp.valuation()
@@ -381,7 +378,7 @@ def _idempotent_rank(f: AlgebraElem, side: str):
                     validate=False)
     if not e.is_idempotent():
         raise AssertionError("solved generator is not idempotent")
-    if rank(stack([e], side)) != rank(stack([f], side)):
+    if dim_ideal(IdealSpec(side, (e,))) != dim_ideal(IdealSpec(side, (f,))):
         raise AssertionError("solved idempotent does not span the ideal")
     return e
 
@@ -446,9 +443,10 @@ def dim_mulmuley_random(f: AlgebraElem, side: str = "left",
     valuation, so every trial yields a lower bound on the dimension and the
     maximum over trials is reported.  Trials are seeded independently as
     `{seed}:{trial}`, so results are reproducible and adding trials never
-    changes earlier draws; seed and trials must be ints (not bools), since
-    seed=True or seed='1' would silently key other or the same draws.  Each trial is exact with probability at least
-    1 - W/(q-1), so the failure odds decay as (W/(q-1))^trials < 2^-trials.
+    changes earlier draws.  seed and trials must be ints (not bools): seed=True
+    would silently key other draws than seed=1, and seed='1' the same ones.
+    Each trial is exact with probability at least 1 - W/(q-1), so the failure
+    odds decay as (W/(q-1))^trials < 2^-trials.
     Raises DomainError when that extension exceeds the 2^20 table limit of
     extension fields (over GF(2): groups of order 1024 and more).
     """

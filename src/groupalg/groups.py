@@ -110,7 +110,7 @@ class Group:
         self.name = name
         self.inv = np.argmax(mul == 0, axis=1)
         self._commutative = None
-        self._route = None  # polynomial route, detected on first use (dimension._route)
+        self._route = None  # largest cycle or coset index, detected on first use (dimension._route)
 
     @property
     def is_commutative(self) -> bool:

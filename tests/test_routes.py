@@ -5,8 +5,9 @@ export, annihilator) must equal the private rank path it replaces, on cyclic
 groups in catalogue order, in a shuffled Cayley file and as a coprime
 product.  The coset route (Hermite form over F[y] on the cosets of a largest
 cyclic subgroup) must equal elimination on every group, called directly below
-the gate and through dim_ideal above it.  The cyclic charpoly (cyclotomic blocks)
-must equal the Hessenberg charpoly of the representation matrix on both sides.
+the gate and through dim_ideal above it.  The charpoly (cyclotomic blocks over the
+same cosets) must equal the Hessenberg charpoly of the representation matrix on both
+sides, on cyclic and non-cyclic groups.
 """
 
 import functools
@@ -48,10 +49,20 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=300, database=
 CHARPOLY_GROUPS = tuple(f"cyclic:{n}" for n in (1, 2, 6, 8, 9, 12, 15, 16, 24, 25, 27, 30)) + (
     "shuffled:12", "product:cyclic:3,cyclic:4")
 CHARPOLY_FIELDS = FIELDS + ("gf:2^4", "gf:2147483647")
+# the charpoly on s > 1 cosets: o from 2 to 48, past the gate, and a relabelled table
+COSET_CHARPOLY_GROUPS = tuple(g for g in COSETS if g not in ("cyclic:9", "shuffled:12")) + (
+    "dihedral:32", "product:symmetric:3,cyclic:16", "relabelled:product:symmetric:3,cyclic:4")
 
 
 @functools.lru_cache(maxsize=None)
 def _group(spec):
+    if spec.startswith("relabelled:"):  # a catalogue group in a shuffled basis order
+        g = make_group(spec.split(":", 1)[1])
+        order = [0] + random.Random(g.n).sample(range(1, g.n), g.n - 1)
+        pos = np.argsort(order)
+        rows = [" ".join(str(pos[g.mul[a, b]] + 1) for b in order) for a in order]
+        text = f"{g.n}\n" + " ".join(g.labels[e] for e in order) + "\n" + "\n".join(rows) + "\n"
+        return group_from_cayley_text(text, spec)
     if not spec.startswith("shuffled:"):
         return make_group(spec)
     # C_n with basis element i = g^order[i], read back through the Cayley file format
@@ -295,6 +306,22 @@ def test_cyclic_charpoly_matches_hessenberg(data):
         assert element_charpoly(f, side).coeffs == _hessenberg_charpoly(f, side), (gspec, side)
 
 
+@SETTINGS
+@given(st.data())
+def test_coset_charpoly_matches_hessenberg(data):
+    gspec = data.draw(st.sampled_from(COSET_CHARPOLY_GROUPS))
+    f = data.draw(_elements(gspec, 1, CHARPOLY_FIELDS))[0]
+    kind = data.draw(st.sampled_from(("zero", "one", "drawn", "difference")))
+    if kind in ("zero", "one"):
+        f = getattr(AlgebraElem, kind)(f.field, f.group)
+    elif kind == "difference":  # (1 - x) f, x a drawn group element
+        x = AlgebraElem.basis(f.field, f.group, data.draw(st.integers(0, f.group.n - 1)))
+        f = (AlgebraElem.one(f.field, f.group) - x) * f
+    assert _route(f.group)[0] != "cyclic"
+    for side in ("left", "right"):
+        assert element_charpoly(f, side).coeffs == _hessenberg_charpoly(f, side), (gspec, side)
+
+
 def test_cyclic_charpoly_in_characteristic_dividing_n():
     # chi = (prod over d | m of the blocks)^(p^v): over an extension field the power
     # raises each coefficient to p^v, which a prime field would not notice
@@ -335,7 +362,8 @@ def _record_kernel_calls(monkeypatch):
 def test_cyclic_charpoly_reduces_only_the_blocks(monkeypatch, capsys):
     rng = random.Random(21)
     cases = []
-    for gspec, fspec in (("cyclic:512", "gf:5"), ("cyclic:1024", "gf:2"), ("shuffled:12", "gf:7")):
+    for gspec, fspec in (("cyclic:512", "gf:5"), ("cyclic:1024", "gf:2"), ("shuffled:12", "gf:7"),
+                         ("product:symmetric:4,cyclic:32", "gf:5"), ("symmetric:5", "gf:3^2")):
         g, f = _group(gspec), parse_field_spec(fspec)
         a = AlgebraElem(f, g, [rng.randrange(f.q) for _ in range(g.n)])
         _route(g)
@@ -349,8 +377,13 @@ def test_cyclic_charpoly_reduces_only_the_blocks(monkeypatch, capsys):
                 assert max(sizes) == 256 and sum(sizes) == 510, sizes
             elif gspec == "cyclic:1024":  # y^1024 - 1 = (y - 1)^1024 over gf:2: no block
                 assert sizes == [], sizes
-            else:  # 12 = 2^2 3: Phi_3, Phi_4, Phi_6 and Phi_12 have phi(d) >= 2
+            elif gspec == "shuffled:12":  # 12 = 2^2 3: Phi_3, Phi_4, Phi_6 and Phi_12
                 assert sorted(sizes) == [2, 2, 2, 4], sizes
+            elif gspec == "symmetric:5":  # o = 6 = 2 3 over gf:3^2: s = 20 cosets, phi(d) = 1
+                assert sizes == [20, 20], sizes
+            else:  # o = 96 over gf:5: s = 8 cosets, blocks of 8 phi(d) <= 8 phi(96) = 256
+                assert max(sizes) == 256 and sum(sizes) == 8 * 96, sizes
+    assert built == []
     # the CLI command takes the same route and builds the matrix only to dump it
     argv = ["charpoly", "--group", "cyclic:1024", "--field", "gf:2", "--elem", "1:1,2:1", "--json"]
     del sizes[:]
@@ -359,10 +392,15 @@ def test_cyclic_charpoly_reduces_only_the_blocks(monkeypatch, capsys):
     assert sizes == [] and built == []
     assert cli.main(argv[:-1] + ["--dump-matrix"]) == 0
     assert built == ["left"] and sizes == []
-    # the patches are live: a non-cyclic group still reduces its 6 x 6 matrix
+    # dihedral:3 over gf:3: y^3 - 1 = (y - 1)^3 on s = 2 cosets, one 2 x 2 block
     f3 = parse_field_spec("gf:3")
-    dim_bound_charpoly(AlgebraElem.basis(f3, make_group("dihedral:3"), 1), "right")
-    assert sizes == [6] and built == ["left", "right"]
+    del sizes[:], built[:]
+    b = AlgebraElem.basis(f3, make_group("dihedral:3"), 1)
+    dim_bound_charpoly(b, "right")
+    assert sizes == [2] and built == []
+    # the patches are live: the matrix charpoly still reduces the 6 x 6 matrix
+    linalg.charpoly(rho_matrix(b))
+    assert sizes == [2, 6]
     with pytest.raises(SpecError):
         dim_bound_charpoly(cases[0][1], "bogus")
 
